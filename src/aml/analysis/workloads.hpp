@@ -330,7 +330,7 @@ inline void jayanti_abandon_epochs(sched::ExecutionContext& ctx) {
 /// is modeled as what recovery makes of it: the victim stops taking steps
 /// while holding the CS (returns without exit) and a *recoverer executing
 /// under its own pid* finishes the passage by running the victim's exit —
-/// which is precisely what ShmStripeLock::recover does (the victim pid in
+/// which is precisely what ShmStripeLockT::recover does (the victim pid in
 /// the real protocol is only the journal being read; every memory operation
 /// is the recoverer's own step, so pid-gating is faithful).
 ///
@@ -399,7 +399,7 @@ inline void ipc_crash_recovery(sched::ExecutionContext& ctx) {
       }
       case 1: {  // the recoverer: forced exit on the victim's behalf
         m.wait(p, *crashed, [](std::uint64_t v) { return v != 0; }, nullptr);
-        lock.exit(p);  // ShmStripeLock::recover's kHolding arm
+        lock.exit(p);  // ShmStripeLockT::recover's kHolding arm
         m.raise_signal(p, *sig3);
         return;
       }

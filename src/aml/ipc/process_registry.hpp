@@ -390,7 +390,7 @@ class ProcessRegistry {
 
   /// Finish a recovery this process claimed: free the slot for re-lease,
   /// or retire it as a zombie when the victim died inside the one
-  /// journal-blind doorway window (see ShmStripeLock::recover). Retirement
+  /// journal-blind doorway window (see ShmStripeLockT::recover). Retirement
   /// opens a new quiescence epoch and records it in the slot, so
   /// try_reclaim_zombie can later prove the reclamation safe.
   void finish_recovery(model::Pid id, bool zombie) {

@@ -1,4 +1,4 @@
-// ShmStripeLock: the Section 6 long-lived transformation re-instantiated
+// ShmStripeLockT: the Section 6 long-lived transformation re-instantiated
 // over shared memory, with owner-death recovery.
 //
 // Structure mirrors core::LongLivedLock exactly — one packed LockDesc word,
@@ -186,13 +186,13 @@ AML_SHM_PLACEABLE(PassageSlot);
 
 /// The per-instance metrics sink: journals doorway slot assignment and grant
 /// acknowledgment into the passage slots (that is the recovery journal), and
-/// forwards every hook to an optional process-local obs::Metrics — which is
-/// how recovered passages (driven through the same hooks by the recoverer)
-/// show up in the ordinary observability counters — and, when bound, to the
-/// segment-hosted obs::ShmMetrics, which is how they survive the process.
-/// This is the SinkHandle<Metrics> sink of every shm one-shot instance, so
-/// binding here is what routes ShmSpace/ShmStripeLockT passages into the
-/// crash-surviving ring.
+/// forwards every hook to the segment-hosted obs::ShmMetrics when bound —
+/// which is how passages, recovered ones included (the recoverer drives the
+/// same hooks), survive the process. It is the only sink a passage pays
+/// for, and its writes all land in the acting pid's own cells (see
+/// obs/shm_metrics.hpp). This is the SinkHandle<Metrics> sink of every shm
+/// one-shot instance, so binding here is what routes
+/// ShmSpace/ShmStripeLockT passages into the crash-surviving rings.
 class RecoverySink {
  public:
   static constexpr bool kEnabled = true;
@@ -201,7 +201,6 @@ class RecoverySink {
     slots_ = slots;
     instance_ = instance;
   }
-  void forward_to(obs::Metrics* metrics) { metrics_ = metrics; }
   void bind_shm(obs::ShmMetrics* shm, std::uint32_t stripe) {
     shm_ = shm;
     stripe_ = stripe;
@@ -210,42 +209,32 @@ class RecoverySink {
   void on_enter(Pid p, std::uint32_t slot) {
     slots_[p].attempt.store(pack_attempt(slot, instance_),
                             std::memory_order_seq_cst);
-    if (metrics_ != nullptr) metrics_->on_enter(p, slot);
     if (shm_ != nullptr) shm_->on_enter(stripe_, p, slot, instance_);
   }
   void on_granted(Pid p, std::uint32_t slot) {
     slots_[p].attempt.fetch_or(kAttemptGranted, std::memory_order_seq_cst);
-    if (metrics_ != nullptr) metrics_->on_granted(p, slot);
     if (shm_ != nullptr) shm_->on_granted(stripe_, p, slot, instance_);
   }
   void on_abort(Pid p, std::uint32_t slot) {
-    if (metrics_ != nullptr) metrics_->on_abort(p, slot);
     if (shm_ != nullptr) shm_->on_abort(stripe_, p, slot, instance_);
   }
   void on_exit(Pid p, std::uint32_t slot) {
-    if (metrics_ != nullptr) metrics_->on_exit(p, slot);
     if (shm_ != nullptr) shm_->on_exit(stripe_, p, slot, instance_);
   }
-  void on_switch(Pid p) {
-    if (metrics_ != nullptr) metrics_->on_switch(p);
-  }
+  void on_switch(Pid /*p*/) {}
   void on_spin_iteration(Pid p) {
-    if (metrics_ != nullptr) metrics_->on_spin_iteration(p);
     if (shm_ != nullptr) shm_->on_spin_iteration(p);
   }
   void on_findnext(Pid p) {
-    if (metrics_ != nullptr) metrics_->on_findnext(p);
     if (shm_ != nullptr) shm_->on_findnext(p);
   }
   void on_spin_node_recycle(Pid p, std::uint64_t nodes) {
-    if (metrics_ != nullptr) metrics_->on_spin_node_recycle(p, nodes);
     if (shm_ != nullptr) shm_->on_spin_node_recycle(p, nodes);
   }
 
  private:
   PassageSlot* slots_ = nullptr;
   std::uint32_t instance_ = 0;
-  obs::Metrics* metrics_ = nullptr;
   obs::ShmMetrics* shm_ = nullptr;
   std::uint32_t stripe_ = 0;
 };
@@ -389,6 +378,8 @@ enum class RecoveryAction : std::uint8_t {
                  ///  (reclaimable after a quiescence epoch, see registry)
 };
 
+/// `Metrics` is kept for source compatibility with code that names the
+/// stripe by sink type; passages report only through set_shm_metrics.
 template <typename Metrics = obs::NullMetrics>
 class ShmStripeLockT {
  public:
@@ -448,16 +439,8 @@ class ShmStripeLockT {
   ShmStripeLockT(const ShmStripeLockT&) = delete;
   ShmStripeLockT& operator=(const ShmStripeLockT&) = delete;
 
-  /// Bind the process-local observability sink all instances forward to.
-  void set_metrics(Metrics* sink) {
-    if constexpr (Metrics::kEnabled) {
-      metrics_ = sink;
-      for (auto& inst : instances_) inst->sink.forward_to(sink);
-    }
-  }
-
   /// Bind the segment-hosted sink (crash-surviving: see obs/shm_metrics.hpp).
-  /// `stripe_id` tags every event this stripe emits into the shared ring.
+  /// `stripe_id` tags every event this stripe emits into the segment's rings.
   void set_shm_metrics(obs::ShmMetrics* shm, std::uint32_t stripe_id) {
     shm_ = shm;
     stripe_id_ = stripe_id;
@@ -476,18 +459,12 @@ class ShmStripeLockT {
       auto outcome = space_.wait(  // AML_X_EDGE(longlived.spn_switch)
           self, *pool_.node(desc.spn).go,
           [this, self](std::uint64_t v) {
-            if constexpr (Metrics::kEnabled) {
-              if (metrics_ != nullptr) metrics_->on_spin_iteration(self);
-            }
             if (shm_ != nullptr) shm_->on_spin_iteration(self);
             return v != 0;
           },
           abort_signal);
       if (outcome.stopped) {
         my.phase.store(kIdle, std::memory_order_seq_cst);
-        if constexpr (Metrics::kEnabled) {
-          if (metrics_ != nullptr) metrics_->on_abort(self, core::kNoSlot);
-        }
         if (shm_ != nullptr) {
           shm_->on_abort(stripe_id_, self, obs::kNoSlot, 0);
         }
@@ -857,9 +834,6 @@ class ShmStripeLockT {
         new_lock, new_spn, 0, static_cast<std::uint32_t>(owner), seq);
     if (space_.cas(exec, *lock_desc_, expected, desired)) {
       bump_landed(owner, seq);
-      if constexpr (Metrics::kEnabled) {
-        if (metrics_ != nullptr) metrics_->on_switch(exec);
-      }
       if (shm_ != nullptr) shm_->on_switch(stripe_id_, exec, new_lock);
       finish_switch_post(exec, owner, prev);
       return true;
@@ -1148,11 +1122,8 @@ class ShmStripeLockT {
   PassageSlot* slots_ = nullptr;        ///< shm, one per pid
   ShmSpace::Word* lock_desc_ = nullptr;
   ShmSpace::Word* recovery_ = nullptr;  ///< per-stripe recovery seqlock
-  Metrics* metrics_ = nullptr;
   obs::ShmMetrics* shm_ = nullptr;  ///< segment-hosted sink (crash-surviving)
   std::uint32_t stripe_id_ = 0;
 };
-
-using ShmStripeLock = ShmStripeLockT<obs::Metrics>;
 
 }  // namespace aml::ipc

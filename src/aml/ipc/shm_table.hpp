@@ -1,5 +1,5 @@
 // ShmNamedLockTable: the cross-process named-lock service — the table
-// facade over shm-resident ShmStripeLock stripes, a ProcessRegistry for
+// facade over shm-resident ShmStripeLockT stripes, a ProcessRegistry for
 // robust pid leasing, and the owner-death recovery sweep.
 //
 // Deployment shape: one process calls create(name, cfg), the others call
@@ -79,7 +79,7 @@ struct ShmTableConfig {
 /// reordered allocations): it is mixed into the config hash, so a binary
 /// laying out the old sequence is rejected at attach instead of replaying a
 /// different construction into live state.
-inline constexpr std::uint64_t kShmLayoutVersion = 3;
+inline constexpr std::uint64_t kShmLayoutVersion = 4;
 
 /// Everything the layout depends on, mixed into the superblock hash so a
 /// mis-configured attacher is rejected instead of replaying a different
@@ -131,7 +131,9 @@ struct RecoveryStats {
 class ShmNamedLockTable {
  public:
   using Clock = TimerWheel::Clock;
-  using Stripe = ShmStripeLockT<obs::Metrics>;
+  /// The segment-hosted ShmMetrics is the only sink: stripes carry no
+  /// process-local obs::Metrics.
+  using Stripe = ShmStripeLockT<obs::NullMetrics>;
 
   /// Create the segment and construct the service in it. Fails (nullptr +
   /// error) if the name exists — unlink() stale segments first.
@@ -424,11 +426,10 @@ class ShmNamedLockTable {
   Stripe& stripe(std::uint32_t s) { return *stripes_[s]; }
   ProcessRegistry& registry() { return registry_; }
   ShmArena& arena() { return *arena_; }
-  /// Process-local observability: normal *and* recovered passages land here
-  /// (the recoverer's forced aborts/exits flow through the same sink hooks).
-  obs::Metrics& metrics() { return metrics_; }
-  /// Segment-hosted observability: survives every attached process, so a
-  /// victim's last events and the recovery dispatch counters are readable
+  /// Observability: normal *and* recovered passages land here (the
+  /// recoverer's forced aborts/exits flow through the same sink hooks). It
+  /// is segment-hosted, so it survives every attached process: a victim's
+  /// last events and the recovery dispatch counters are readable
   /// post-mortem (tools/aml_stat renders this).
   obs::ShmMetrics& shm_metrics() { return shm_metrics_; }
   const obs::ShmMetrics& shm_metrics() const { return shm_metrics_; }
@@ -575,7 +576,6 @@ class ShmNamedLockTable {
         header_(init_header(*arena_, cfg)),
         space_(*arena_, cfg.nprocs),
         registry_(*arena_, cfg.nprocs),
-        metrics_(cfg.nprocs),
         shm_metrics_(*arena_, cfg.nprocs, cfg.stripes, cfg.ring_capacity),
         signals_(cfg.nprocs),
         armed_(cfg.nprocs),
@@ -586,7 +586,6 @@ class ShmNamedLockTable {
           space_, typename Stripe::Config{.nprocs = cfg.nprocs,
                                           .w = cfg.tree_width,
                                           .find = cfg.find}));
-      stripes_.back()->set_metrics(&metrics_);
       stripes_.back()->set_shm_metrics(&shm_metrics_, s);
     }
   }
@@ -704,7 +703,6 @@ class ShmNamedLockTable {
   ServiceHeader* header_;  ///< shm: layout/config discovery for inspectors
   ShmSpace space_;
   ProcessRegistry registry_;
-  obs::Metrics metrics_;  ///< process-local sink all stripes forward to
   obs::ShmMetrics shm_metrics_;  ///< segment-hosted, crash-surviving sink
   std::vector<std::unique_ptr<Stripe>> stripes_;
   std::deque<AbortSignal> signals_;  ///< one per dense pid; timed ops only

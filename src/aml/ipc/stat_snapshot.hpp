@@ -1,8 +1,8 @@
 // Shared JSON snapshot of a cross-process lock service, read entirely from
 // the shm segment: registry lease states with heartbeat ages, per-pid
 // journaled phases, per-stripe installed/refcnt/recovery state, the shm
-// metrics counters and histograms, and the tail of the crash-surviving
-// event ring.
+// metrics counters and histograms, and the newest events of the
+// crash-surviving per-pid event rings, merged by timestamp.
 //
 // Three consumers render the same bytes: tools/aml_stat (the live/orphaned
 // inspector CLI), examples/shm_lock_service (prints its post-recovery
@@ -188,7 +188,7 @@ inline void write_stat_json(std::ostream& os, ShmNamedLockTable& table,
   os << ",\"handoff\":";
   stat_detail::write_histogram(os, shm.handoff());
 
-  // --- ring tail --------------------------------------------------------
+  // --- ring tail: newest merged events; `seq` counts within the pid's ring
   std::uint64_t torn = 0;
   const std::vector<obs::ShmEvent> events = shm.ring_snapshot(&torn);
   os << ",\"ring\":{\"total\":" << shm.ring_total()

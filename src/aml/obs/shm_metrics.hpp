@@ -11,24 +11,31 @@
 //     segment),
 //   * the recovery sweep's typed dispatch events (forced exit, complete
 //     grant, abort on behalf, resignal, zombie retire) land in the same
-//     totally-ordered ring as the victim's own lifecycle events, and
+//     merged event stream as the victim's own lifecycle events, and
 //   * sweep latency is recorded where every process can see it.
 //
-// Hot-path cost discipline (acceptance criterion of the PR that added this):
-// per-pid counters are cache-padded cells touched only by their owner, and a
-// ring push is one fetch_add on the shared head plus relaxed stores into the
-// claimed slot — the same claim-odd/publish-even tag protocol as the
-// process-local EventRing (events.hpp), so torn slots are detected, never
-// returned. Timestamps are CLOCK_MONOTONIC, comparable across processes on
-// the same host, so the merged stream renders on one Perfetto timeline
-// (trace_export.hpp).
+// Hot-path cost discipline: no shared RMW. Everything a passage writes here
+// belongs to the acting pid — its cache-padded counter cell, its hand-off
+// histogram, its own event ring — except the stripe's pending hand-off word,
+// which only the outgoing and incoming holder touch. A pid has one writer at
+// a time: its leaseholder, or the survivor holding its recovery claim (a
+// recoverer acts under its own leased pid, so its events land in its own
+// ring). Owned cells therefore take plain load/store bumps, not fetch_adds.
+// A ring push stores the pid's own head, then fills the slot under the same
+// claim-odd/publish-even tag protocol as the process-local EventRing
+// (events.hpp), so torn slots are detected, never returned. Readers merge
+// the per-pid rings by timestamp: CLOCK_MONOTONIC, comparable across
+// processes on the same host, so the merged stream renders on one Perfetto
+// timeline (trace_export.hpp).
 //
 // Everything placed in the segment is AML_SHM_REGION-safe: flat atomics,
 // no pointers, zero-filled pages are the valid initial state (no creator
 // stores needed, so the attach replay is naturally storeless).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <ctime>
 #include <vector>
@@ -109,9 +116,9 @@ inline bool shm_event_is_recovery(ShmEventKind kind) {
 }
 
 // AML_SHM_REGION_BEGIN
-/// Per-pid counter cell. Owned (written) exclusively by the leaseholder of
-/// that pid, padded so neighbours never false-share; cross-process readers
-/// only load.
+/// Per-pid counter cell plus the head of that pid's event ring. Written
+/// only by the pid's current owner, padded so neighbours never false-share;
+/// cross-process readers only load.
 struct alignas(pal::kCacheLine) ShmCounterCell {
   std::atomic<std::uint64_t> acquisitions;
   std::atomic<std::uint64_t> aborts;
@@ -119,13 +126,15 @@ struct alignas(pal::kCacheLine) ShmCounterCell {
   std::atomic<std::uint64_t> findnext_ascents;
   std::atomic<std::uint64_t> instance_switches;
   std::atomic<std::uint64_t> spin_node_recycles;
+  std::atomic<std::uint64_t> ring_head;  ///< events this pid ever emitted
 };
 
 /// One shm ring slot: claim-odd/publish-even tag plus the payload packed
 /// into atomic words (see events.hpp for the tag protocol; this is its
-/// cross-process twin). Padded: consecutive writers claim consecutive
-/// slots, and unpadded slots would put two processes' stores on one line.
-struct alignas(pal::kCacheLine) ShmEventSlot {
+/// cross-process twin). Unpadded: a ring has one writer at a time, so
+/// neighbouring slots never see two writers; each pid's ring starts on its
+/// own cache line.
+struct ShmEventSlot {
   std::atomic<std::uint64_t> tag;      ///< 0 never-used; odd claimed; even published
   std::atomic<std::uint64_t> meta;     ///< kind | stripe | pid | victim
   std::atomic<std::uint64_t> detail;   ///< slot | instance
@@ -133,13 +142,13 @@ struct alignas(pal::kCacheLine) ShmEventSlot {
   std::atomic<std::uint64_t> writer;   ///< OS pid of the emitting process
 };
 
-/// Single padded shared word (ring head, pending hand-off timestamps).
+/// Single padded shared word (a stripe's pending hand-off timestamp).
 struct alignas(pal::kCacheLine) ShmWordCell {
   std::atomic<std::uint64_t> value;
 };
 
-/// Shared power-of-two histogram (same geometry as LatencyHistogram, minus
-/// min/max whose sentinel init would break the zero-page-is-valid rule).
+/// Power-of-two histogram (same geometry as LatencyHistogram, minus min/max
+/// whose sentinel init would break the zero-page-is-valid rule).
 struct alignas(pal::kCacheLine) ShmHistogramCell {
   std::atomic<std::uint64_t> count;
   std::atomic<std::uint64_t> sum;
@@ -171,11 +180,12 @@ struct ShmEvent {
   ShmEventKind kind = ShmEventKind::kEnter;
   std::uint32_t stripe = 0;
   model::Pid pid = 0;          ///< acting pid (the victim's for lifecycle
-                               ///  kinds, the *executor's* for recovery)
+                               ///  kinds, the *executor's* for recovery);
+                               ///  also the ring the event was read from
   model::Pid victim = kNoPid;  ///< victim pid for recovery kinds
   std::uint32_t slot = kNoSlot;
   std::uint32_t instance = 0;  ///< one-shot generation within the stripe
-  std::uint64_t seq = 0;       ///< position in the global ring order
+  std::uint64_t seq = 0;       ///< position in `pid`'s own ring
   std::uint64_t mono_ns = 0;
   std::uint64_t writer_os_pid = 0;
 
@@ -216,12 +226,15 @@ class ShmMetrics {
       : nprocs_(nprocs),
         stripes_(stripes),
         ring_capacity_(ring_capacity),
+        ring_per_pid_(per_pid_slots(nprocs, ring_capacity)),
+        ring_stride_(ring_stride_bytes(ring_per_pid_)),
         counters_(arena.alloc_array<ShmCounterCell>(nprocs)),
         pending_handoff_(arena.alloc_array<ShmWordCell>(stripes)),
         recovery_(arena.alloc_array<ShmRecoveryCell>(stripes)),
-        ring_head_(arena.alloc_array<ShmWordCell>(1)),
-        ring_(arena.alloc_array<ShmEventSlot>(ring_capacity)),
-        handoff_hist_(arena.alloc_array<ShmHistogramCell>(1)),
+        rings_(arena.at<std::byte>(arena.alloc_offset(
+            static_cast<std::uint64_t>(nprocs) * ring_stride_,
+            pal::kCacheLine))),
+        handoff_hist_(arena.alloc_array<ShmHistogramCell>(nprocs)),
         sweep_hist_(arena.alloc_array<ShmHistogramCell>(1)),
         self_os_pid_(static_cast<std::uint64_t>(::getpid())) {}
 
@@ -233,20 +246,23 @@ class ShmMetrics {
   static std::uint64_t footprint_bytes(model::Pid nprocs,
                                        std::uint32_t stripes,
                                        std::uint32_t ring_capacity) {
+    const std::uint64_t n = nprocs;
     std::uint64_t b = 0;
-    b += static_cast<std::uint64_t>(nprocs) * sizeof(ShmCounterCell);
+    b += n * sizeof(ShmCounterCell);
     b += static_cast<std::uint64_t>(stripes) * sizeof(ShmWordCell);
     b += static_cast<std::uint64_t>(stripes) * sizeof(ShmRecoveryCell);
-    b += sizeof(ShmWordCell);
-    b += static_cast<std::uint64_t>(ring_capacity) * sizeof(ShmEventSlot);
-    b += 2 * sizeof(ShmHistogramCell);
+    b += n * ring_stride_bytes(per_pid_slots(nprocs, ring_capacity));
+    b += (n + 1) * sizeof(ShmHistogramCell);
     b += 8 * pal::kCacheLine;  // alignment slop between allocations
     return b;
   }
 
   model::Pid nprocs() const { return nprocs_; }
   std::uint32_t stripes() const { return stripes_; }
+  /// The configured event budget for the whole segment.
   std::uint32_t ring_capacity() const { return ring_capacity_; }
+  /// Slots in each pid's ring: ceil(ring_capacity / nprocs).
+  std::uint32_t ring_slots_per_pid() const { return ring_per_pid_; }
 
   /// Wall reference for heartbeat ages and sweep durations.
   static std::uint64_t now_ns() {
@@ -265,7 +281,7 @@ class ShmMetrics {
 
   void on_granted(std::uint32_t stripe, model::Pid p, std::uint32_t slot,
                   std::uint32_t instance) {
-    counters_[p].acquisitions.fetch_add(1, std::memory_order_relaxed);
+    bump(counters_[p].acquisitions);
     const std::uint64_t t = now_ns();
     emit_at(ShmEventKind::kGranted, stripe, p, ShmEvent::kNoPid, slot,
             instance, t);
@@ -273,15 +289,15 @@ class ShmMetrics {
     // the stripe's pending word; one exchange claims it. The word is only
     // ever touched by the outgoing and incoming holder — the pair already
     // communicating through the lock word itself — so this adds no *new*
-    // contention edge.
+    // contention edge. The grantee records into its own histogram.
     const std::uint64_t handed = pending_handoff_[stripe].value.exchange(
         0, std::memory_order_acq_rel);
-    if (handed != 0 && t > handed) record(handoff_hist_[0], t - handed);
+    if (handed != 0 && t > handed) record_owned(handoff_hist_[p], t - handed);
   }
 
   void on_abort(std::uint32_t stripe, model::Pid p, std::uint32_t slot,
                 std::uint32_t instance) {
-    counters_[p].aborts.fetch_add(1, std::memory_order_relaxed);
+    bump(counters_[p].aborts);
     emit(ShmEventKind::kAbort, stripe, p, ShmEvent::kNoPid, slot, instance);
   }
 
@@ -294,21 +310,16 @@ class ShmMetrics {
   }
 
   void on_switch(std::uint32_t stripe, model::Pid p, std::uint32_t instance) {
-    counters_[p].instance_switches.fetch_add(1, std::memory_order_relaxed);
+    bump(counters_[p].instance_switches);
     emit(ShmEventKind::kSwitch, stripe, p, ShmEvent::kNoPid, kNoSlot,
          instance);
   }
 
   // Counter-only hooks: too frequent for the ring.
-  void on_spin_iteration(model::Pid p) {
-    counters_[p].spin_iterations.fetch_add(1, std::memory_order_relaxed);
-  }
-  void on_findnext(model::Pid p) {
-    counters_[p].findnext_ascents.fetch_add(1, std::memory_order_relaxed);
-  }
+  void on_spin_iteration(model::Pid p) { bump(counters_[p].spin_iterations); }
+  void on_findnext(model::Pid p) { bump(counters_[p].findnext_ascents); }
   void on_spin_node_recycle(model::Pid p, std::uint64_t nodes = 1) {
-    counters_[p].spin_node_recycles.fetch_add(nodes,
-                                              std::memory_order_relaxed);
+    bump(counters_[p].spin_node_recycles, nodes);
   }
 
   // --- recovery hooks (survivor `exec` acting for `victim`) -------------
@@ -363,8 +374,16 @@ class ShmMetrics {
   /// (re-entry, zombie reclamation) rather than one stripe.
   static constexpr std::uint32_t kNoStripe = 0xFFFFu;
 
-  /// Wall-clock duration of one recovery sweep (recover_dead pass).
-  void record_sweep_ns(std::uint64_t ns) { record(sweep_hist_[0], ns); }
+  /// Wall-clock duration of one recovery sweep (recover_dead pass). Sweeps
+  /// from different processes may overlap, so this one histogram is shared
+  /// and takes fetch_adds — it is off the passage path.
+  void record_sweep_ns(std::uint64_t ns) {
+    ShmHistogramCell& h = sweep_hist_[0];
+    h.buckets[LatencyHistogram::bucket_of(ns)].fetch_add(
+        1, std::memory_order_relaxed);
+    h.count.fetch_add(1, std::memory_order_relaxed);
+    h.sum.fetch_add(ns, std::memory_order_relaxed);
+  }
 
   // --- readers (valid from any attached process, including read-only) ---
 
@@ -433,40 +452,60 @@ class ShmMetrics {
     return sum;
   }
 
-  ShmHistogramSnapshot handoff() const { return snapshot(handoff_hist_[0]); }
+  /// Exit->granted latency over every pid's histogram.
+  ShmHistogramSnapshot handoff() const {
+    return snapshot(handoff_hist_, nprocs_);
+  }
   ShmHistogramSnapshot sweep_latency() const {
-    return snapshot(sweep_hist_[0]);
+    return snapshot(sweep_hist_, 1);
+  }
+
+  /// Events pid `p` has emitted (its ring head).
+  std::uint64_t ring_total(model::Pid p) const {
+    return counters_[p].ring_head.load(std::memory_order_relaxed);
+  }
+
+  /// Events pid `p` emitted that its ring no longer retains.
+  std::uint64_t ring_dropped(model::Pid p) const {
+    const std::uint64_t total = ring_total(p);
+    return total > ring_per_pid_ ? total - ring_per_pid_ : 0;
   }
 
   std::uint64_t ring_total() const {
-    return ring_head_[0].value.load(std::memory_order_relaxed);
+    std::uint64_t sum = 0;
+    for (model::Pid p = 0; p < nprocs_; ++p) sum += ring_total(p);
+    return sum;
   }
 
   std::uint64_t ring_dropped() const {
-    const std::uint64_t total = ring_total();
-    return total > ring_capacity_ ? total - ring_capacity_ : 0;
+    std::uint64_t sum = 0;
+    for (model::Pid p = 0; p < nprocs_; ++p) sum += ring_dropped(p);
+    return sum;
   }
 
-  /// Retained, fully-published ring events oldest first; torn/in-flight
+  /// Retained, fully-published events of every pid's ring, merged oldest
+  /// first by timestamp (ties keep pid, then ring, order); torn/in-flight
   /// slots are skipped (and counted into `torn`) exactly as in
   /// EventRing::snapshot().
   std::vector<ShmEvent> ring_snapshot(std::uint64_t* torn = nullptr) const {
     std::vector<ShmEvent> out;
     std::uint64_t skipped = 0;
-    const std::uint64_t total = ring_total();
-    if (ring_capacity_ != 0 && total != 0) {
-      const std::uint64_t kept =
-          total < ring_capacity_ ? total : ring_capacity_;
-      out.reserve(kept);
+    for (model::Pid p = 0; p < nprocs_; ++p) {
+      const std::uint64_t total = ring_total(p);
+      const std::uint64_t kept = std::min<std::uint64_t>(total, ring_per_pid_);
       for (std::uint64_t seq = total - kept; seq < total; ++seq) {
         ShmEvent e;
-        if (read_published(seq, &e)) {
+        if (read_published(p, seq, &e)) {
           out.push_back(e);
         } else {
           ++skipped;
         }
       }
     }
+    std::stable_sort(out.begin(), out.end(),
+                     [](const ShmEvent& a, const ShmEvent& b) {
+                       return a.mono_ns < b.mono_ns;
+                     });
     if (torn != nullptr) *torn = skipped;
     return out;
   }
@@ -474,6 +513,29 @@ class ShmMetrics {
  private:
   static std::uint64_t claim_tag(std::uint64_t seq) { return 2 * seq + 1; }
   static std::uint64_t publish_tag(std::uint64_t seq) { return 2 * seq + 2; }
+
+  static std::uint32_t per_pid_slots(model::Pid nprocs,
+                                     std::uint32_t ring_capacity) {
+    return nprocs == 0 ? 0 : (ring_capacity + nprocs - 1) / nprocs;
+  }
+
+  /// Bytes between consecutive pids' rings: whole cache lines, so no two
+  /// writers share one.
+  static std::uint64_t ring_stride_bytes(std::uint32_t slots) {
+    const std::uint64_t bytes =
+        static_cast<std::uint64_t>(slots) * sizeof(ShmEventSlot);
+    return (bytes + pal::kCacheLine - 1) & ~std::uint64_t{pal::kCacheLine - 1};
+  }
+
+  ShmEventSlot* ring_of(model::Pid p) const {
+    return reinterpret_cast<ShmEventSlot*>(rings_ + p * ring_stride_);
+  }
+
+  /// Single-writer increment: the cell's owner is its only writer, so a
+  /// load and a store replace the RMW; readers may see the old value.
+  static void bump(std::atomic<std::uint64_t>& w, std::uint64_t n = 1) {
+    w.store(w.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
+  }
 
   /// meta: kind(8) | stripe(16) | pid(16) | victim(16); low 8 reserved.
   static std::uint64_t pack_meta(ShmEventKind kind, std::uint32_t stripe,
@@ -495,16 +557,18 @@ class ShmMetrics {
     emit_at(kind, stripe, pid, victim, slot, instance, now_ns());
   }
 
-  /// One fetch_add on the shared head, then relaxed stores into the claimed
-  /// slot (claim odd, payload, publish even) — see the file header for the
-  /// contention budget this must stay within.
+  /// Push into `pid`'s own ring: advance its head (a plain store — the
+  /// owner is the only writer), then relaxed stores into the claimed slot
+  /// (claim odd, payload, publish even). A writer that dies in between
+  /// leaves one torn slot; the pid's next owner continues past it.
   void emit_at(ShmEventKind kind, std::uint32_t stripe, model::Pid pid,
                model::Pid victim, std::uint32_t slot, std::uint32_t instance,
                std::uint64_t t) {
-    if (ring_capacity_ == 0) return;
-    const std::uint64_t seq =
-        ring_head_[0].value.fetch_add(1, std::memory_order_relaxed);
-    ShmEventSlot& s = ring_[seq % ring_capacity_];
+    if (ring_per_pid_ == 0) return;
+    std::atomic<std::uint64_t>& head = counters_[pid].ring_head;
+    const std::uint64_t seq = head.load(std::memory_order_relaxed);
+    head.store(seq + 1, std::memory_order_relaxed);
+    ShmEventSlot& s = ring_of(pid)[seq % ring_per_pid_];
     s.tag.store(claim_tag(seq), std::memory_order_relaxed);
     s.meta.store(pack_meta(kind, stripe, pid, victim),
                  std::memory_order_relaxed);
@@ -514,8 +578,8 @@ class ShmMetrics {
     s.tag.store(publish_tag(seq), std::memory_order_release);
   }
 
-  bool read_published(std::uint64_t seq, ShmEvent* out) const {
-    const ShmEventSlot& s = ring_[seq % ring_capacity_];
+  bool read_published(model::Pid p, std::uint64_t seq, ShmEvent* out) const {
+    const ShmEventSlot& s = ring_of(p)[seq % ring_per_pid_];
     const std::uint64_t want = publish_tag(seq);
     if (s.tag.load(std::memory_order_acquire) != want) return false;
     const std::uint64_t meta = s.meta.load(std::memory_order_relaxed);
@@ -535,25 +599,30 @@ class ShmMetrics {
     return true;
   }
 
-  static void record(ShmHistogramCell& h, std::uint64_t v) {
-    h.buckets[LatencyHistogram::bucket_of(v)].fetch_add(
-        1, std::memory_order_relaxed);
-    h.count.fetch_add(1, std::memory_order_relaxed);
-    h.sum.fetch_add(v, std::memory_order_relaxed);
+  static void record_owned(ShmHistogramCell& h, std::uint64_t v) {
+    bump(h.buckets[LatencyHistogram::bucket_of(v)]);
+    bump(h.count);
+    bump(h.sum, v);
   }
 
-  static ShmHistogramSnapshot snapshot(const ShmHistogramCell& h) {
+  /// Merge `n` histogram cells into one snapshot.
+  static ShmHistogramSnapshot snapshot(const ShmHistogramCell* cells,
+                                       std::uint64_t n) {
     ShmHistogramSnapshot s;
-    std::uint64_t buckets[LatencyHistogram::kBuckets];
+    std::uint64_t buckets[LatencyHistogram::kBuckets] = {};
     std::uint64_t total = 0;
-    for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
-      buckets[i] = h.buckets[i].load(std::memory_order_relaxed);
-      total += buckets[i];
+    for (std::uint64_t c = 0; c < n; ++c) {
+      for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {
+        const std::uint64_t b =
+            cells[c].buckets[i].load(std::memory_order_relaxed);
+        buckets[i] += b;
+        total += b;
+      }
+      s.sum += cells[c].sum.load(std::memory_order_relaxed);
     }
     // Percentiles over the buckets we actually read (the count word can be
     // momentarily ahead of the bucket stores under concurrent writers).
     s.count = total;
-    s.sum = h.sum.load(std::memory_order_relaxed);
     if (total == 0) return s;
     s.mean = static_cast<double>(s.sum) / static_cast<double>(total);
     s.p50 = percentile(buckets, total, 0.50);
@@ -578,12 +647,13 @@ class ShmMetrics {
   model::Pid nprocs_;
   std::uint32_t stripes_;
   std::uint32_t ring_capacity_;
+  std::uint32_t ring_per_pid_;  ///< slots per pid ring; 0 = no ring
+  std::uint64_t ring_stride_;   ///< bytes between consecutive pids' rings
   ShmCounterCell* counters_;
   ShmWordCell* pending_handoff_;
   ShmRecoveryCell* recovery_;
-  ShmWordCell* ring_head_;
-  ShmEventSlot* ring_;
-  ShmHistogramCell* handoff_hist_;
+  std::byte* rings_;  ///< nprocs rings, ring_stride_ bytes apart
+  ShmHistogramCell* handoff_hist_;  ///< one per pid, written by the grantee
   ShmHistogramCell* sweep_hist_;
   std::uint64_t self_os_pid_;
 };

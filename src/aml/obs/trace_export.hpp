@@ -1,7 +1,8 @@
-// Passage tracer: assembles per-passage spans from the (totally ordered)
-// shm event ring and emits them as Chrome-trace-event JSON, so a whole
-// crash-and-recover episode — the victim's doorway, its grant, the moment it
-// died, and the survivor's forced close — renders on one Perfetto timeline.
+// Passage tracer: assembles per-passage spans from the shm event stream
+// (the per-pid rings merged by timestamp) and emits them as Chrome trace
+// event JSON, so a whole crash-and-recover episode — the victim's doorway,
+// its grant, the moment it died, and the survivor's forced close — renders
+// on one Perfetto timeline.
 //
 // Span model: one PassageSpan per attempt, keyed by the acting lock pid.
 //   doorway:  enter .. granted (or terminal, if never granted)
@@ -45,8 +46,8 @@ struct PassageSpan {
   model::Pid recovered_by = ShmEvent::kNoPid;      ///< executor, when forced
 };
 
-/// Fold the event stream into spans. Events must be in ring order (as
-/// ring_snapshot() returns them). Robust to a wrapped ring: a grant or
+/// Fold the event stream into spans. Events must be in time order (as
+/// ring_snapshot() merges them). Robust to a wrapped ring: a grant or
 /// terminal whose opening event was overwritten still yields a (partial)
 /// span rather than being dropped, so the tail of a long run stays useful.
 inline std::vector<PassageSpan> assemble_passage_spans(

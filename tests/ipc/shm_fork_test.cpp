@@ -244,9 +244,10 @@ TEST(ShmIpcFork, SigkilledHolderRecoveredInOneSweep) {
   // The forced exit freed the critical section for the survivor.
   auto guard = survivor->try_acquire_for(kKey, 2s);
   EXPECT_TRUE(guard.has_value());
-  // The recovered passage flowed through this process's obs sink: the
-  // survivor drove the victim's exit plus its own acquisition.
-  EXPECT_GE(table->metrics().totals().acquisitions, 1u);
+  // The recovered passage flowed through the segment sink: the survivor
+  // drove the victim's exit plus its own acquisition.
+  EXPECT_GE(table->shm_metrics().pid_counters(survivor->id()).acquisitions,
+            1u);
   ShmNamedLockTable::unlink(seg);
 }
 

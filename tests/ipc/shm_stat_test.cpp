@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -100,32 +101,139 @@ TEST(ShmIpcStat, LifecycleEventsLandInTheSegmentRing) {
 TEST(ShmIpcStat, RingWrapKeepsNewestAndCountsDropped) {
   ScopedSegment seg(unique_name("wrap"));
   ShmTableConfig cfg = small_config();
-  cfg.ring_capacity = 16;  // tiny: a handful of passages wraps it
+  cfg.ring_capacity = 16;  // tiny: 4 slots per pid, a passage or two wraps
   std::string error;
   auto table = ShmNamedLockTable::create(seg.name, cfg, &error);
   ASSERT_NE(table, nullptr) << error;
 
-  auto session = table->open_session();
-  ASSERT_TRUE(session.has_value());
+  auto a = table->open_session();
+  auto b = table->open_session();
+  ASSERT_TRUE(a && b);
   for (int i = 0; i < 16; ++i) {
-    auto guard = session->acquire(std::uint64_t{3});  // 3 events per passage
+    { auto guard = a->acquire(std::uint64_t{3}); }  // 3 events per passage
+    if (i % 2 == 0) {
+      auto guard = b->acquire(std::uint64_t{3});
+    }
   }
 
   obs::ShmMetrics& shm = table->shm_metrics();
-  // 16 passages at >= 3 events each overflowed the 16-slot ring for sure.
-  const std::uint64_t total = shm.ring_total();
-  EXPECT_GE(total, 48u);
-  EXPECT_EQ(shm.ring_dropped(), total - 16u);
+  const std::uint64_t per_pid = shm.ring_slots_per_pid();
+  EXPECT_EQ(per_pid, 4u);
+  std::uint64_t total = 0;
+  std::uint64_t dropped = 0;
+  for (Pid p = 0; p < cfg.nprocs; ++p) {
+    total += shm.ring_total(p);
+    dropped += shm.ring_dropped(p);
+  }
+  EXPECT_GE(shm.ring_total(a->id()), 48u);
+  EXPECT_GE(shm.ring_total(b->id()), 24u);
+  EXPECT_EQ(shm.ring_total(), total);
+  EXPECT_EQ(shm.ring_dropped(), dropped);
+  EXPECT_EQ(dropped, shm.ring_total(a->id()) + shm.ring_total(b->id()) -
+                         2 * per_pid);
+
   std::uint64_t torn = ~std::uint64_t{0};
   const std::vector<ShmEvent> events = shm.ring_snapshot(&torn);
-  // Quiesced single writer: the retained window is fully published.
+  // Quiesced writers: every retained window is fully published.
   EXPECT_EQ(torn, 0u);
-  ASSERT_EQ(events.size(), 16u);
-  // Oldest-first and contiguous, ending at the newest sequence number.
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].seq, events[i - 1].seq + 1);
+  ASSERT_EQ(events.size(), 2 * per_pid);
+  // Each pid keeps its newest `per_pid` events, contiguous in its own seq
+  // and ending at its newest sequence number.
+  for (const Pid p : {a->id(), b->id()}) {
+    std::vector<std::uint64_t> seqs;
+    for (const ShmEvent& e : events) {
+      if (e.pid == p) seqs.push_back(e.seq);
+    }
+    ASSERT_EQ(seqs.size(), per_pid) << "pid " << p;
+    for (std::size_t i = 1; i < seqs.size(); ++i) {
+      EXPECT_EQ(seqs[i], seqs[i - 1] + 1) << "pid " << p;
+    }
+    EXPECT_EQ(seqs.back(), shm.ring_total(p) - 1) << "pid " << p;
   }
-  EXPECT_EQ(events.back().seq, total - 1);
+}
+
+TEST(ShmIpcStat, QuietPidEventsSurviveAnotherPidsFlood) {
+  ScopedSegment seg(unique_name("flood"));
+  ShmTableConfig cfg = small_config();
+  cfg.ring_capacity = 64;
+  std::string error;
+  auto table = ShmNamedLockTable::create(seg.name, cfg, &error);
+  ASSERT_NE(table, nullptr) << error;
+
+  auto victim = table->open_session();
+  auto flooder = table->open_session();
+  ASSERT_TRUE(victim && flooder);
+  { auto guard = victim->acquire(std::uint64_t{1}); }
+  // Far more events than the whole segment budget: one global ring would
+  // have overwritten the victim's passage many times over.
+  for (int i = 0; i < 200; ++i) {
+    auto guard = flooder->acquire(std::uint64_t{1});
+  }
+
+  obs::ShmMetrics& shm = table->shm_metrics();
+  EXPECT_GT(shm.ring_total(flooder->id()), 10u * cfg.ring_capacity);
+  EXPECT_EQ(shm.ring_dropped(victim->id()), 0u);
+  std::vector<ShmEventKind> kinds;
+  for (const ShmEvent& e : shm.ring_snapshot()) {
+    if (e.pid == victim->id()) kinds.push_back(e.kind);
+  }
+  ASSERT_GE(kinds.size(), 3u);
+  const std::vector<ShmEventKind> expect = {
+      ShmEventKind::kEnter, ShmEventKind::kGranted, ShmEventKind::kExit};
+  EXPECT_EQ(std::vector<ShmEventKind>(kinds.begin(), kinds.begin() + 3),
+            expect);
+}
+
+TEST(ShmIpcStat, MergedStreamOrdersHandOffsByTime) {
+  ScopedSegment seg(unique_name("merge"));
+  ShmTableConfig cfg = small_config();
+  cfg.ring_capacity = 1u << 14;  // nothing wraps
+  std::string error;
+  auto table = ShmNamedLockTable::create(seg.name, cfg, &error);
+  ASSERT_NE(table, nullptr) << error;
+
+  constexpr int kPassages = 300;
+  const std::uint64_t key = 11;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 2; ++t) {
+    threads.emplace_back([&] {
+      auto session = table->open_session();
+      ASSERT_TRUE(session.has_value());
+      for (int i = 0; i < kPassages; ++i) {
+        auto guard = session->acquire(key);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  obs::ShmMetrics& shm = table->shm_metrics();
+  EXPECT_EQ(shm.ring_dropped(), 0u);
+  std::uint64_t torn = ~std::uint64_t{0};
+  const std::vector<ShmEvent> events = shm.ring_snapshot(&torn);
+  EXPECT_EQ(torn, 0u);
+  // Time never runs backwards in the merged stream, and on the stripe every
+  // grant follows the previous holder's exit: granted/exit strictly
+  // alternate, each exit by the pid that was granted.
+  const std::uint32_t stripe = table->stripe_of(key);
+  Pid holder = ShmEvent::kNoPid;
+  std::uint64_t grants = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (i != 0) {
+      EXPECT_LE(events[i - 1].mono_ns, events[i].mono_ns);
+    }
+    const ShmEvent& e = events[i];
+    if (e.stripe != stripe) continue;
+    if (e.kind == ShmEventKind::kGranted) {
+      EXPECT_EQ(holder, ShmEvent::kNoPid) << "grant before exit at " << i;
+      holder = e.pid;
+      ++grants;
+    } else if (e.kind == ShmEventKind::kExit) {
+      EXPECT_EQ(holder, e.pid) << "exit by a non-holder at " << i;
+      holder = ShmEvent::kNoPid;
+    }
+  }
+  EXPECT_EQ(grants, 2u * kPassages);
+  EXPECT_EQ(holder, ShmEvent::kNoPid);
 }
 
 TEST(ShmIpcStat, HandoffHistogramRecordsCrossSessionHandoffs) {
@@ -403,6 +511,37 @@ TEST(ShmIpcStat, PeekConfigRejectsMissingSegment) {
   EXPECT_FALSE(ShmNamedLockTable::peek_config(unique_name("absent"), &cfg,
                                               &error));
   EXPECT_FALSE(error.empty());
+}
+
+// --- layout ----------------------------------------------------------------
+
+TEST(ShmIpcStat, FootprintCoversTheConstructionReplay) {
+  for (const Pid nprocs : {1u, 3u, 4u, 8u}) {
+    for (const std::uint32_t stripes : {1u, 2u, 16u}) {
+      for (const std::uint32_t ring : {0u, 1u, 5u, 16u, 1000u, 1024u}) {
+        const std::uint64_t footprint =
+            obs::ShmMetrics::footprint_bytes(nprocs, stripes, ring);
+        ScopedSegment seg(unique_name("footprint"));
+        std::string error;
+        auto arena =
+            ShmArena::create(seg.name, footprint + 4096, 0, &error);
+        ASSERT_NE(arena, nullptr) << error;
+        const std::uint64_t before = arena->cursor();
+        obs::ShmMetrics shm(*arena, nprocs, stripes, ring);
+        EXPECT_LE(arena->cursor() - before, footprint)
+            << nprocs << "/" << stripes << "/" << ring;
+        EXPECT_EQ(shm.ring_slots_per_pid(), (ring + nprocs - 1) / nprocs);
+      }
+    }
+  }
+  // No bigger than the single-ring layout (version 3) at the benchmark's
+  // shape, nprocs 4, stripes 16, ring 1024: 64-byte counter cells, stripe
+  // words and recovery cells, one head word, 64-byte slots, two 576-byte
+  // histograms and 8 lines of slop.
+  constexpr std::uint64_t kSingleRingFootprint =
+      4 * 64 + 16 * 64 + 16 * 64 + 64 + 1024 * 64 + 2 * 576 + 8 * 64;
+  EXPECT_LE(obs::ShmMetrics::footprint_bytes(4, 16, 1024),
+            kSingleRingFootprint);
 }
 
 }  // namespace

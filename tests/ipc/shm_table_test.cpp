@@ -58,8 +58,8 @@ TEST(ShmIpcTable, CreateAcquireReleaseCountsInObs) {
     auto guard = session->acquire(std::string_view{"named-key"});
     (void)guard;
   }
-  EXPECT_EQ(table->metrics().totals().acquisitions, 2u);
-  EXPECT_EQ(table->metrics().totals().aborts, 0u);
+  EXPECT_EQ(table->shm_metrics().totals().acquisitions, 2u);
+  EXPECT_EQ(table->shm_metrics().totals().aborts, 0u);
   EXPECT_GT(table->registry().heartbeat(session->id()), 0u);
 }
 
@@ -87,7 +87,7 @@ TEST(ShmIpcTable, AttachedReplicaSharesTheLocks) {
   // ...and succeed once released.
   auto reacquired = b->try_acquire_for(key, 2s);
   EXPECT_TRUE(reacquired.has_value());
-  EXPECT_EQ(replica->metrics().totals().aborts, 1u);
+  EXPECT_EQ(replica->shm_metrics().pid_counters(b->id()).aborts, 1u);
 }
 
 TEST(ShmIpcTable, AttachRejectsDifferentConfig) {
@@ -142,7 +142,7 @@ TEST(ShmIpcTable, RecoverDeadHolderForcesExitAndReclaimsSlot) {
   ASSERT_TRUE(table->stripe(s).enter(victim->id(), nullptr).acquired);
   EXPECT_EQ(table->stripe(s).peek_phase(victim->id()), kHolding);
   const std::uint64_t acquisitions_before =
-      table->metrics().totals().acquisitions;
+      table->shm_metrics().totals().acquisitions;
 
   table->registry().debug_set_os_pid(victim->id(), kForgedDeadPid);
   EXPECT_EQ(survivor->recover_dead(), 1u);
@@ -172,7 +172,7 @@ TEST(ShmIpcTable, RecoverDeadHolderForcesExitAndReclaimsSlot) {
   // The recovered passage's grant/exit flowed through the same obs hooks as
   // a live passage would have (complete-grant is not re-counted; the
   // survivor's reacquisition is).
-  EXPECT_GT(table->metrics().totals().acquisitions, acquisitions_before);
+  EXPECT_GT(table->shm_metrics().totals().acquisitions, acquisitions_before);
 
   // A second sweep finds nothing dead.
   EXPECT_EQ(survivor->recover_dead(), 0u);
