@@ -5,16 +5,28 @@
 #
 # Invoked as:
 #   cmake -DBENCH_BIN=<path> -DBENCH_NAME=<name> -DWORK_DIR=<dir>
-#         [-DNORMALIZE=ON] -P check_bench_json.cmake
+#         (-DNORMALIZE=ON | -DCOMMITTED=<repo-root BENCH_<name>.json>)
+#         -P check_bench_json.cmake
 #
 # NORMALIZE=ON is for wall-clock benches (ipc_recovery, native_throughput):
 # their values legitimately differ every run, so every digit run in both
 # files is rewritten to 0 before the comparison. That still pins the report
 # *shape* — a dropped measurement, a renamed summary key, or a table row
 # that appears only sometimes fails the check — without failing on jitter.
+#
+# COMMITTED=<path> is for the deterministic benches: both runs pin
+# AMLOCK_GIT_REV=committed (as the bench_smoke target does) and the first
+# report must then be byte-identical to the committed copy at <path>, so any
+# drift from the versioned bench trajectory fails locally, not only in CI.
 
-if(NOT BENCH_BIN OR NOT BENCH_NAME OR NOT WORK_DIR)
-  message(FATAL_ERROR "usage: cmake -DBENCH_BIN=... -DBENCH_NAME=... -DWORK_DIR=... [-DNORMALIZE=ON] -P check_bench_json.cmake")
+if(NOT BENCH_BIN OR NOT BENCH_NAME OR NOT WORK_DIR OR
+   (NOT NORMALIZE AND NOT COMMITTED))
+  message(FATAL_ERROR "usage: cmake -DBENCH_BIN=... -DBENCH_NAME=... -DWORK_DIR=... (-DNORMALIZE=ON | -DCOMMITTED=<json>) -P check_bench_json.cmake")
+endif()
+
+set(rev_env "")
+if(COMMITTED)
+  set(rev_env "AMLOCK_GIT_REV=committed")
 endif()
 
 foreach(run run1 run2)
@@ -22,7 +34,8 @@ foreach(run run1 run2)
   file(REMOVE_RECURSE "${dir}")
   file(MAKE_DIRECTORY "${dir}")
   execute_process(
-    COMMAND ${CMAKE_COMMAND} -E env "AMLOCK_BENCH_DIR=${dir}" "${BENCH_BIN}"
+    COMMAND ${CMAKE_COMMAND} -E env "AMLOCK_BENCH_DIR=${dir}" ${rev_env}
+            "${BENCH_BIN}"
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err
@@ -75,4 +88,14 @@ if(NOT diff EQUAL 0)
   message(FATAL_ERROR "BENCH_${BENCH_NAME}.json not ${contract} between identical runs")
 endif()
 
-message(STATUS "BENCH_${BENCH_NAME}.json: schema ok, ${contract} across runs")
+if(COMMITTED)
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files "${json1}" "${COMMITTED}"
+    RESULT_VARIABLE drift)
+  if(NOT drift EQUAL 0)
+    message(FATAL_ERROR "BENCH_${BENCH_NAME}.json differs from the committed ${COMMITTED}: behavior drifted (regenerate with the bench_smoke target only if the change is intended)")
+  endif()
+  set(committed_note " and to the committed copy")
+endif()
+
+message(STATUS "BENCH_${BENCH_NAME}.json: schema ok, ${contract} across runs${committed_note}")

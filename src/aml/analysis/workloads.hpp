@@ -438,7 +438,7 @@ inline void ipc_crash_recovery(sched::ExecutionContext& ctx) {
   }
 }
 
-/// Death at the recoverable F&A (see aml/ipc/shm_lock.hpp): the victim
+/// Death at the recoverable F&A (see aml/ipc/shm_journal.hpp): the victim
 /// announces an increment on the packed lock word, issues at most one
 /// stamping CAS, and dies immediately after it — before any phase store can
 /// record the outcome. A concurrent mutator runs its own stamped F&A with

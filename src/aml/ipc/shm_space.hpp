@@ -1,7 +1,7 @@
 // ShmSpace: the shared-memory word space. Mirrors model::NativeModel's API
 // exactly — cacheline-padded atomic<uint64_t> words, seq_cst operations,
 // Backoff busy-waits — but allocates its words out of a ShmArena, so every
-// core lock template (OneShotLock, LongLivedLock's pieces, VersionedSpace)
+// core lock template (OneShotLock, LongLivedLock, VersionedSpace)
 // instantiates over it unchanged and its words are visible to every process
 // mapping the segment.
 //

@@ -369,7 +369,7 @@ TEST(LitmusIpcArenaSeal, AttachSeesAllPreSealWrites) {
 }
 
 // ---- ipc.node_state --------------------------------------------------------
-// Spin-node free/issued marks, op-for-op (ipc/shm_lock.hpp release store of
+// Spin-node free/issued marks, op-for-op (ipc/shm_journal.hpp release store of
 // kStateFree -> allocator's acquire load): an allocator that reads "free"
 // must observe the previous owner's reset of the node's go word.
 TEST(LitmusIpcNodeState, FreeMarkPublishesNodeReset) {

@@ -43,7 +43,7 @@
 //   R7  recoverable-F&A journaling discipline (src/aml/ipc): every store
 //       through a `phase` journal member must name memory_order_seq_cst —
 //       the recovery arms read phases cross-process and the post-mortem
-//       decision proofs in shm_lock.hpp assume one total order over phase
+//       decision proofs in shm_journal.hpp assume one total order over phase
 //       stores and lock-word CASes. And in any function body that both
 //       announces a recoverable F&A (an `ann_desc….store(`) and issues a
 //       CAS, the announcement store must precede the first CAS: a lock-word
