@@ -6,16 +6,14 @@
 //                                pattern every timed-try-lock needs);
 //   * TimedAbortableLock       — try_enter_for / try_enter_until built from
 //                                the lock's bounded-abort guarantee;
-//   * ThreadRegistry           — maps std::thread ids to the dense small
-//                                integers the algorithms identify processes
-//                                by;
 //   * StdAbortableMutex        — satisfies the standard Lockable concept
 //                                (lock / try_lock / unlock), so it drops
 //                                into std::lock_guard, std::unique_lock,
-//                                std::scoped_lock.
+//                                std::scoped_lock; each acquisition leases
+//                                a dense process id from a
+//                                table::ThreadRegistry.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
@@ -23,9 +21,10 @@
 #include <map>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "aml/core/abortable_lock.hpp"
-#include "aml/pal/config.hpp"
+#include "aml/table/thread_registry.hpp"
 
 namespace aml {
 
@@ -192,55 +191,46 @@ class TimedAbortableLock {
   TimerWheel wheel_;
 };
 
-/// Assigns each OS thread a stable dense id on first use. Ids are never
-/// recycled; constructions beyond `capacity` abort (matching the fixed-N
-/// model of the paper).
-class ThreadRegistry {
- public:
-  explicit ThreadRegistry(std::uint32_t capacity) : capacity_(capacity) {}
-
-  std::uint32_t id() {
-    thread_local std::map<const ThreadRegistry*, std::uint32_t> cache;
-    auto it = cache.find(this);
-    if (it != cache.end()) return it->second;
-    const std::uint32_t assigned =
-        counter_.fetch_add(1, std::memory_order_relaxed);  // AML_RELAXED(monotonic id allocation counter)
-    AML_ASSERT(assigned < capacity_, "ThreadRegistry capacity exceeded");
-    cache.emplace(this, assigned);
-    return assigned;
-  }
-
-  std::uint32_t capacity() const { return capacity_; }
-
- private:
-  std::uint32_t capacity_;
-  std::atomic<std::uint32_t> counter_{0};
-};
-
 /// Standard-Lockable facade: usable with std::lock_guard / std::unique_lock
 /// / std::scoped_lock. try_lock() runs an acquisition attempt with a
 /// pre-raised signal: by bounded abort it returns in a bounded number of
 /// steps, acquiring only if the lock is handed over essentially immediately.
+///
+/// Each acquisition leases a process id for its own duration: at most
+/// `max_threads` threads may be inside lock()/try_lock() or holding the
+/// mutex at once, and any number may use it over its lifetime.
 class StdAbortableMutex {
  public:
   explicit StdAbortableMutex(std::uint32_t max_threads = 64)
       : registry_(max_threads),
         lock_(LockConfig{.max_threads = max_threads}) {}
 
-  void lock() { lock_.enter(registry_.id()); }
-  void unlock() { lock_.exit(registry_.id()); }
+  void lock() {
+    table::ThreadRegistry::Lease lease = registry_.acquire();
+    lock_.enter(lease.id());
+    holder_ = std::move(lease);
+  }
+
+  /// The id goes back to the registry only after the exit completes.
+  void unlock() {
+    const table::ThreadRegistry::Lease lease = std::move(holder_);
+    lock_.exit(lease.id());
+  }
 
   bool try_lock() {
     AbortSignal signal;
     signal.raise();
-    return lock_.enter(registry_.id(), signal);
+    table::ThreadRegistry::Lease lease = registry_.acquire();
+    if (!lock_.enter(lease.id(), signal)) return false;  // releases the id
+    holder_ = std::move(lease);
+    return true;
   }
 
-  ThreadRegistry& registry() { return registry_; }
-
  private:
-  ThreadRegistry registry_;
+  table::ThreadRegistry registry_;
   AbortableLock lock_;
+  /// The holder's lease; written and read only inside the critical section.
+  table::ThreadRegistry::Lease holder_;
 };
 
 }  // namespace aml

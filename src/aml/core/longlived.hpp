@@ -131,8 +131,6 @@ struct DescRmw {
 struct NullJournal {
   using Desc = DescLayout<16, 32, 16>;
   using Rmw = DescRmw<Desc>;
-  template <typename M, typename Metrics>
-  using Pool = SpinNodePool<M, Metrics>;
 
   template <typename M>
   NullJournal(M&, Pid) {}
@@ -168,10 +166,8 @@ struct NullJournal {
     std::vector<pal::CachePadded<Local>> v_;
   };
 
-  template <typename Lock>
-  static void attach(std::uint32_t, Lock&) {}
-  template <typename P>
-  static std::uint32_t first_node(P& pool) { return pool.alloc(0); }
+  template <typename Lock, typename P>
+  static void attach(std::uint32_t, Lock&, P&) {}
 
   static void phase(Pid, Phase) {}
   template <typename Lock>
@@ -188,19 +184,23 @@ struct NullJournal {
     return {Desc::unpack(raw), raw - 1};
   }
 
-  template <typename P>
-  static void publish_pin(P& pool, Pid exec, Pid, std::uint32_t spn) {
-    pool.publish_pin(exec, spn);
+  template <typename M, typename P>
+  static void publish_pin(M&, P& pool, Pid exec, Pid owner,
+                          std::uint32_t spn) {
+    pool.publish_pin(exec, owner, spn);
   }
   /// Returns the stamp sequence the switch CAS carries (none here).
   static std::uint64_t announce_switch(Pid, std::uint64_t) { return 0; }
   template <typename P>
-  static std::uint32_t switch_node(P& pool, Pid exec, Pid, std::uint64_t) {
-    return pool.alloc(exec);
+  static std::uint32_t switch_node(P& pool, Pid exec, Pid owner,
+                                   std::uint64_t) {
+    const std::uint32_t spn = pool.select(exec, owner);
+    pool.commit(exec, owner, spn);
+    return spn;
   }
   template <typename P>
-  static void abandon_switch(P& pool, Pid exec, Pid, std::uint32_t spn) {
-    pool.unalloc(exec, spn);
+  static void abandon_switch(P& pool, Pid exec, Pid owner, std::uint32_t spn) {
+    pool.unalloc(exec, owner, spn);
   }
   static void landed_switch(Pid, Pid, std::uint64_t, std::uint32_t) {}
   /// Retire the replaced spin node. Release suffices: the waiters in enter
@@ -255,10 +255,10 @@ class LongLivedLock {
     instances_.reserve(config.nprocs + 1);
     for (Pid i = 0; i <= config.nprocs; ++i) {
       instances_.push_back(std::make_unique<Instance>(mem_, config_));
-      journal_.attach(i, instances_.back()->lock);
+      journal_.attach(i, instances_.back()->lock, spin_pool_);
     }
-    const std::uint32_t spn0 = journal_.first_node(spin_pool_);
-    lock_desc_ = mem_.alloc(1, Desc::pack(0, spn0, 0, Desc::kNoStampPid));
+    lock_desc_ = mem_.alloc(
+        1, Desc::pack(0, spin_pool_.initial_node(), 0, Desc::kNoStampPid));
   }
 
   LongLivedLock(const LongLivedLock&) = delete;
@@ -408,7 +408,7 @@ class LongLivedLock {
   /// be retired, hence before its owner can scan for reuse.
   void cleanup(Pid exec, Pid owner) {
     const Desc pinned = Desc::unpack(mem_.read(exec, *lock_desc_));
-    journal_.publish_pin(spin_pool_, exec, owner, pinned.spn);
+    journal_.publish_pin(mem_, spin_pool_, exec, owner, pinned.spn);
     const auto released =
         journal_.release(mem_, exec, owner, *lock_desc_);  // line 70
     AML_DASSERT(released.pre.spn == pinned.spn,
@@ -458,7 +458,7 @@ class LongLivedLock {
 
   M& mem_;
   Config config_;
-  typename Journal::template Pool<M, Metrics> spin_pool_;
+  SpinNodePool<M, Metrics> spin_pool_;
   [[no_unique_address]] Journal journal_;
   std::vector<std::unique_ptr<Instance>> instances_;
   typename Journal::Locals locals_;

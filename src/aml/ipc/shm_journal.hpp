@@ -8,7 +8,10 @@
 //   * join / release are recoverable F&As, and the switch's expected word
 //     and spin node are journaled before its CAS;
 //   * attach gives each instance a RecoverySink that journals the doorway's
-//     slot and the grant; spin nodes come from ShmSpinNodePool.
+//     slot and the grant, and binds the spin-node pool (core::SpinNodePool,
+//     whose marks sit in the arena over ShmSpace) to instance 0's sink;
+//   * switch_node journals the chosen spin node between the pool's select
+//     and commit, and publish_pin keeps the pin store seq_cst.
 //
 // Recoverable fetch-and-add (after Katzan & Morrison's recoverable-abortable
 // lock, arxiv.org/2011.07622): before touching the word, the caller
@@ -136,7 +139,8 @@ AML_SHM_PLACEABLE(PassageSlot);
 /// into the passage slots, and forwards every hook to the segment-hosted
 /// obs::ShmMetrics when bound, so passages (recovered ones included) survive
 /// the process. Its writes land in the acting pid's own cells. Instance 0's
-/// sink doubles as the lock-level sink (spin-node waits and their aborts).
+/// sink doubles as the lock-level sink (spin-node waits and their aborts,
+/// and the spin-node pool's recycles).
 class RecoverySink {
  public:
   static constexpr bool kEnabled = true;
@@ -183,119 +187,6 @@ class RecoverySink {
   std::uint32_t stripe_ = 0;
 };
 
-/// Spin-node pool with all of its state — go words, announce pins, and the
-/// free/issued marks — in shm. Unlike core::SpinNodePool there are no
-/// process-local free lists: allocation scans the owner's N+1 state marks
-/// (O(N), and only on an instance switch, which the transformation already
-/// charges O(N) work to), because the marks must survive the owner's death
-/// for the recoverer and for the pid's next leaseholder.
-class ShmSpinNodePool {
- public:
-  using Word = ShmSpace::Word;
-
-  static constexpr std::uint64_t kNoPin = ~std::uint64_t{0};
-  static constexpr std::uint32_t kStateFree = 0;
-  static constexpr std::uint32_t kStateIssued = 1;
-
-  struct Node { Word* go = nullptr; };
-
-  ShmSpinNodePool(ShmSpace& space, Pid nprocs, std::uint32_t per_pool)
-      : space_(space), nprocs_(nprocs), per_pool_(per_pool) {
-    const std::size_t total = static_cast<std::size_t>(nprocs) * per_pool;
-    // Node indices are journaled into the 16-bit LockDesc.Spn field; the
-    // nprocs <= 254 cap (LockDesc packing) keeps total <= 254 * 255.
-    AML_ASSERT(total < (1u << 16), "spin-node index exceeds Spn field");
-    nodes_.reserve(total);
-    for (std::size_t i = 0; i < total; ++i) {
-      nodes_.push_back(Node{space_.alloc(1, 0)});
-    }
-    announce_.reserve(nprocs);
-    for (Pid p = 0; p < nprocs; ++p) {
-      announce_.push_back(space_.alloc(1, kNoPin));
-    }
-    // Zero-filled pages decode as "all free", so the marks need no init.
-    states_ = space_.arena().alloc_array<std::atomic<std::uint32_t>>(total);
-  }
-
-  ShmSpinNodePool(const ShmSpinNodePool&) = delete;
-  ShmSpinNodePool& operator=(const ShmSpinNodePool&) = delete;
-
-  Node& node(std::uint32_t global_idx) { return nodes_[global_idx]; }
-  std::size_t total_nodes() const { return nodes_.size(); }
-
-  /// Publish that `owner` holds `global_idx` as its oldSpn (see
-  /// core::SpinNodePool::publish_pin). `exec` performs the write — during
-  /// recovery it differs from `owner`, and the pin still lands in the
-  /// *owner's* announce word so it protects the pid's next leaseholder.
-  void publish_pin(Pid exec, Pid owner, std::uint32_t global_idx) {
-    space_.write(exec, *announce_[owner], global_idx);
-  }
-
-  /// Obtain a node in two steps, serialized per owner (the owner itself,
-  /// or after its death the single recoverer holding its registry claim):
-  /// `select` picks a reusable node (go == 0) WITHOUT marking it issued, so
-  /// the caller can journal the choice (PassageSlot.ann_aux) first;
-  /// `commit` then marks it. Both the mark and `unalloc` are idempotent plain
-  /// stores, so a recoverer can safely redo whichever side of the journal
-  /// write the victim died on.
-  std::uint32_t select(Pid exec, Pid owner) {
-    const std::uint32_t base = owner * per_pool_;
-    for (int pass = 0; pass < 2; ++pass) {
-      for (std::uint32_t k = 0; k < per_pool_; ++k) {
-        if (states_[base + k].load(std::memory_order_acquire) == kStateFree) {  // AML_X_EDGE(ipc.node_state)
-          return base + k;
-        }
-      }
-      reclaim(exec, owner);
-    }
-    AML_ASSERT(false, "shm spin-node pool exhausted: invariant violated");
-    return 0;
-  }
-
-  void commit(std::uint32_t global_idx) {
-    states_[global_idx].store(kStateIssued, std::memory_order_release);  // AML_V_EDGE(ipc.node_state)
-  }
-
-  /// Return a node that never became visible (install CAS lost).
-  void unalloc(Pid /*exec*/, Pid owner, std::uint32_t global_idx) {
-    AML_ASSERT(global_idx / per_pool_ == owner, "unalloc by non-owner");
-    states_[global_idx].store(kStateFree, std::memory_order_release);  // AML_V_EDGE(ipc.node_state)
-  }
-
- private:
-  /// Same quiescence test as core::SpinNodePool::reclaim: a node is
-  /// reusable once retired (go == 1, set by the switch that replaced it)
-  /// and pinned by no announce entry.
-  void reclaim(Pid exec, Pid owner) {
-    const std::uint32_t base = owner * per_pool_;
-    std::vector<bool> pinned(per_pool_, false);
-    for (Pid p = 0; p < nprocs_; ++p) {
-      const std::uint64_t pin = space_.read(exec, *announce_[p]);
-      if (pin != kNoPin && pin / per_pool_ == static_cast<std::uint64_t>(
-                                                  owner)) {
-        pinned[pin % per_pool_] = true;
-      }
-    }
-    for (std::uint32_t k = 0; k < per_pool_; ++k) {
-      const std::uint32_t idx = base + k;
-      if (states_[idx].load(std::memory_order_acquire) != kStateIssued ||  // AML_X_EDGE(ipc.node_state)
-          pinned[k]) {
-        continue;
-      }
-      if (space_.read(exec, *nodes_[idx].go) != 1) continue;  // installed
-      space_.write(exec, *nodes_[idx].go, 0);
-      states_[idx].store(kStateFree, std::memory_order_release);  // AML_V_EDGE(ipc.node_state)
-    }
-  }
-
-  ShmSpace& space_;
-  Pid nprocs_;
-  std::uint32_t per_pool_;
-  std::vector<Node> nodes_;
-  std::vector<Word*> announce_;
-  std::atomic<std::uint32_t>* states_ = nullptr;  ///< shm, survives owners
-};
-
 /// The journal policy (hook contract: core::NullJournal). During recovery
 /// the recoverer executes, but the announcement, stamp and locals stay the
 /// *owner's*, so a recoverer that dies leaves one coherent journal.
@@ -304,8 +195,6 @@ class ShmJournal {
   // LockDesc: Refcnt 8 | Spn 16 | Lock 8 | StampPid 8 | StampSeq 24.
   using Desc = core::DescLayout<8, 16, 8, 8, 24>;
   using Rmw = core::DescRmw<Desc>;
-  template <typename M, typename Metrics>
-  using Pool = ShmSpinNodePool;
   using Word = ShmSpace::Word;
 
   /// The locals, in the slots a survivor or the pid's next leaseholder reads.
@@ -340,10 +229,9 @@ class ShmJournal {
   /// idle slots; only the non-zero locals need a store.
   ShmJournal(ShmSpace& space, Pid nprocs)
       : nprocs_(nprocs),
-        creating_(space.arena().creating()),
         slots_(space.arena().alloc_array<PassageSlot>(nprocs)),
         sinks_(nprocs + 1) {
-    for (Pid p = 0; creating_ && p < nprocs; ++p) {
+    for (Pid p = 0; space.arena().creating() && p < nprocs; ++p) {
       slots_[p].held.store(p + 1, std::memory_order_relaxed);  // AML_RELAXED(creator init before ipc.arena_seal)
       slots_[p].old_spn.store(core::kNoSpn, std::memory_order_relaxed);  // AML_RELAXED(creator init before ipc.arena_seal)
       slots_[p].ann_aux.store(kAuxNone, std::memory_order_relaxed);  // AML_RELAXED(creator init before ipc.arena_seal)
@@ -365,16 +253,13 @@ class ShmJournal {
 
   // --- hooks -------------------------------------------------------------
 
-  template <typename Lock>
-  void attach(std::uint32_t instance, Lock& lock) {
+  /// Instance 0's sink doubles as the lock-level sink, so the spin-node
+  /// pool reports its recycles through it too.
+  template <typename Lock, typename P>
+  void attach(std::uint32_t instance, Lock& lock, P& pool) {
     sinks_[instance].configure(slots_, instance);
     lock.set_metrics(&sinks_[instance]);
-  }
-  /// Issuing node 0 of owner 0 touches only the shm marks, never the arena
-  /// cursor, so the attacher skipping it keeps the replay aligned.
-  std::uint32_t first_node(ShmSpinNodePool& pool) const {
-    if (creating_) pool.commit(pool.select(0, 0));
-    return 0;
+    if (instance == 0) pool.set_metrics(&sinks_[0]);
   }
 
   void phase(Pid p, Phase ph) {
@@ -396,9 +281,13 @@ class ShmJournal {
     return recoverable_rmw(space, exec, owner, desc, kAnnOpRelease);
   }
 
-  void publish_pin(ShmSpinNodePool& pool, Pid exec, Pid owner,
+  /// The pin lands in the *owner's* announce word (a recoverer pins for
+  /// the pid's next leaseholder) and stays a seq_cst store, like the rest
+  /// of the journal a recoverer reads post-mortem.
+  template <typename P>
+  void publish_pin(ShmSpace& space, P& pool, Pid exec, Pid owner,
                    std::uint32_t spn) {
-    pool.publish_pin(exec, owner, spn);
+    space.write(exec, pool.pin(owner), spn);
   }
   /// The switch as a journaled announcement: ann_pre takes the expected
   /// word (and ann_aux, below, the chosen spin node) BEFORE the CAS, so a
@@ -413,7 +302,10 @@ class ShmJournal {
     own.ann_desc.store(ann_pack(seq, kAnnOpSwitch), std::memory_order_seq_cst);
     return seq;
   }
-  std::uint32_t switch_node(ShmSpinNodePool& pool, Pid exec, Pid owner,
+  /// The pool's select and commit with the choice journaled in ann_aux
+  /// between them; commit is idempotent, so it covers a death before it.
+  template <typename P>
+  std::uint32_t switch_node(P& pool, Pid exec, Pid owner,
                             std::uint64_t expected) {
     PassageSlot& own = slots_[owner];
     const std::uint64_t aux = own.ann_aux.load(std::memory_order_seq_cst);
@@ -424,12 +316,12 @@ class ShmJournal {
       spn = pool.select(exec, owner);
       own.ann_aux.store(spn, std::memory_order_seq_cst);
     }
-    pool.commit(spn);  // idempotent: covers a death before the mark
+    pool.commit(exec, owner, spn);
     help_landed(expected);
     return spn;
   }
-  void abandon_switch(ShmSpinNodePool& pool, Pid exec, Pid owner,
-                      std::uint32_t spn) {
+  template <typename P>
+  void abandon_switch(P& pool, Pid exec, Pid owner, std::uint32_t spn) {
     pool.unalloc(exec, owner, spn);
     slots_[owner].ann_aux.store(kAuxNone, std::memory_order_seq_cst);
   }
@@ -509,7 +401,6 @@ class ShmJournal {
   }
 
   Pid nprocs_;
-  bool creating_;
   PassageSlot* slots_;  ///< shm, one per pid
   std::vector<RecoverySink> sinks_;  ///< one per one-shot instance
   obs::ShmMetrics* shm_ = nullptr;  ///< segment-hosted sink (crash-surviving)

@@ -78,10 +78,9 @@ class ShmStripeLockT : private ShmLongLivedLock {
   using Base::peek_refcnt;
 
   /// Both roles run the identical construction (deterministic replay); only
-  /// the creator's word allocations store initial values, and only the
-  /// creator touches non-arena shm state (spin-node marks, PassageSlots).
-  /// Arena order: spin-node pool, passage slots, instances, LockDesc, then
-  /// the recovery word.
+  /// the creator stores initial values (words, spin-node marks,
+  /// PassageSlots). Arena order: spin-node pool (go words, announce words,
+  /// marks), passage slots, instances, LockDesc, then the recovery word.
   ShmStripeLockT(ShmSpace& space, Config config)
       : Base(space, config), recovery_(space.alloc(1, 0)) {}
 
@@ -190,6 +189,13 @@ class ShmStripeLockT : private ShmLongLivedLock {
     journal_.announce_switch(p, r.post);
   }
 
+  /// Test hook: `owner` died inside a spin-node reclaim scan, once per
+  /// reclaimable node, each time after the go reset and before the free
+  /// mark. The pool must finish those nodes instead of leaking them.
+  void debug_forge_torn_reclaim(Pid owner) {
+    spin_pool_.debug_reclaim_torn(owner, owner);
+  }
+
  private:
   /// A joined passage of `p` whose Cleanup has pinned and landed its
   /// release, then died.
@@ -197,7 +203,7 @@ class ShmStripeLockT : private ShmLongLivedLock {
     debug_forge_joined(p);
     journal_.slot(p).phase.store(kCleanup, std::memory_order_seq_cst);
     const Desc pinned = Desc::unpack(mem_.read(p, *lock_desc_));
-    spin_pool_.publish_pin(p, p, pinned.spn);
+    journal_.publish_pin(mem_, spin_pool_, p, p, pinned.spn);
     return journal_.release(mem_, p, p, *lock_desc_);
   }
 

@@ -79,7 +79,7 @@ struct ShmTableConfig {
 /// reordered allocations): it is mixed into the config hash, so a binary
 /// laying out the old sequence is rejected at attach instead of replaying a
 /// different construction into live state.
-inline constexpr std::uint64_t kShmLayoutVersion = 4;
+inline constexpr std::uint64_t kShmLayoutVersion = 5;
 
 /// Everything the layout depends on, mixed into the superblock hash so a
 /// mis-configured attacher is rejected instead of replaying a different
@@ -165,6 +165,13 @@ class ShmNamedLockTable {
   }
 
   static void unlink(const std::string& name) { ShmArena::unlink(name); }
+
+  /// Offset of the ServiceHeader: the first allocation after the arena
+  /// constructor reserves the superblock and rounds up to a cache line.
+  static constexpr std::uint64_t header_offset() {
+    return (sizeof(Superblock) + pal::kCacheLine - 1) &
+           ~static_cast<std::uint64_t>(pal::kCacheLine - 1);
+  }
 
   /// Read a sealed segment's configuration from its ServiceHeader without
   /// attaching (read-only map of the first page). This is how aml_stat
@@ -588,13 +595,6 @@ class ShmNamedLockTable {
                                           .find = cfg.find}));
       stripes_.back()->set_shm_metrics(&shm_metrics_, s);
     }
-  }
-
-  /// Offset of the ServiceHeader: the first allocation after the arena
-  /// constructor reserves the superblock and rounds up to a cache line.
-  static constexpr std::uint64_t header_offset() {
-    return (sizeof(Superblock) + pal::kCacheLine - 1) &
-           ~static_cast<std::uint64_t>(pal::kCacheLine - 1);
   }
 
   static ServiceHeader* init_header(ShmArena& arena,

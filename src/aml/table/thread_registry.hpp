@@ -10,12 +10,11 @@
 // are immediately reusable by other threads, so a pool of P live threads
 // needs only max_threads >= P, not one id per thread ever created.
 //
-// Unlike aml::ThreadRegistry in core/adapters.hpp (append-only, ids never
-// recycled — the strict fixed-N reading), this registry recycles. The
-// correctness obligation that makes recycling safe here is the lock table's:
-// a lease may be released only when the thread holds no stripe and has no
-// attempt in flight, which the RAII types enforce by construction (guards
-// borrow the session, and the session's lease outlives them).
+// The correctness obligation that makes recycling safe is the caller's: a
+// lease may be released only when the thread holds no lock keyed by the id
+// and has no attempt in flight. The lock table's RAII types enforce this by
+// construction (guards borrow the session, and the session's lease outlives
+// them); StdAbortableMutex leases per acquisition and releases after exit.
 #pragma once
 
 #include <atomic>

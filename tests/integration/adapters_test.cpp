@@ -1,5 +1,5 @@
 // The production-API adapters: RAII guards, TimerWheel deadlines, timed
-// acquisition, thread registry, and the std::mutex-compatible facade.
+// acquisition, and the std::mutex-compatible facade.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <random>
 #include <thread>
 #include <vector>
@@ -211,24 +212,6 @@ TEST(TimedLockTest, ContendedTimedAttempts) {
   EXPECT_GT(wins.load(), 0u);
 }
 
-TEST(ThreadRegistryTest, StableDenseIds) {
-  ThreadRegistry registry(8);
-  EXPECT_EQ(registry.id(), registry.id());  // stable within a thread
-  std::vector<std::uint32_t> ids(4);
-  pal::run_threads(4, [&](std::uint32_t t) { ids[t] = registry.id(); });
-  std::sort(ids.begin(), ids.end());
-  for (std::size_t i = 1; i < ids.size(); ++i) {
-    EXPECT_NE(ids[i - 1], ids[i]);  // distinct
-    EXPECT_LT(ids[i], 8u);          // dense, within capacity
-  }
-}
-
-TEST(ThreadRegistryTest, IndependentRegistries) {
-  ThreadRegistry a(4), b(4);
-  EXPECT_EQ(a.id(), 0u);
-  EXPECT_EQ(b.id(), 0u);  // separate counters, same thread
-}
-
 TEST(StdAbortableMutexTest, WorksWithStdGuards) {
   StdAbortableMutex mutex(4);
   std::uint64_t counter = 0;
@@ -265,6 +248,49 @@ TEST(StdAbortableMutexTest, UniqueLockAdoptAndRelease) {
   EXPECT_TRUE(ul.owns_lock());
   ul.unlock();
   EXPECT_TRUE(ul.try_lock());
+}
+
+// A mutex rebuilt at the address of an earlier one must not hand a thread
+// an id remembered from the old mutex: the main thread used the first
+// mutex, then it and a fresh thread contend on the rebuilt one.
+TEST(StdAbortableMutexNative, RebuiltMutexNeverSharesAnIdBetweenLiveThreads) {
+  std::optional<StdAbortableMutex> mutex;
+  mutex.emplace(4);
+  mutex->lock();
+  mutex->unlock();
+  mutex.emplace(4);
+
+  std::atomic<int> ready{0}, inside{0};
+  std::atomic<bool> overlap{false};
+  auto contend = [&] {
+    ready.fetch_add(1);
+    while (ready.load() < 2) std::this_thread::yield();
+    for (int i = 0; i < 20000; ++i) {
+      std::lock_guard<StdAbortableMutex> guard(*mutex);
+      if (inside.fetch_add(1) != 0) overlap.store(true);
+      inside.fetch_sub(1);
+    }
+  };
+  std::thread fresh(contend);
+  contend();
+  fresh.join();
+  EXPECT_FALSE(overlap.load());
+}
+
+// Ids are leased per acquisition, so max_threads bounds the threads using
+// the mutex at once, not the threads that ever touch it.
+TEST(StdAbortableMutexNative, MoreThreadsOverTimeThanMaxThreads) {
+  StdAbortableMutex mutex(2);
+  std::uint64_t counter = 0;
+  for (int round = 0; round < 5; ++round) {
+    pal::run_threads(2, [&](std::uint32_t) {
+      for (int i = 0; i < 50; ++i) {
+        std::lock_guard<StdAbortableMutex> guard(mutex);
+        ++counter;
+      }
+    });
+  }
+  EXPECT_EQ(counter, 500u);  // ten distinct threads through a 2-id mutex
 }
 
 }  // namespace

@@ -505,6 +505,33 @@ TEST(ShmIpcStat, PeekConfigDiscoversCreatorLayout) {
   EXPECT_EQ(replica->shm_metrics().totals().acquisitions, 1u);
 }
 
+// Layout 5 changed the spin-node marks and the creator's first node: a
+// segment laid out by a layout-4 binary must be refused, never replayed.
+TEST(ShmIpcStat, Layout4SegmentIsRejectedCleanly) {
+  ScopedSegment seg(unique_name("layout4"));
+  const ShmTableConfig cfg = small_config();
+  std::string error;
+  auto table = ShmNamedLockTable::create(seg.name, cfg, &error);
+  ASSERT_NE(table, nullptr) << error;
+  ASSERT_EQ(kShmLayoutVersion, 5u);
+  // Forge what a layout-4 creator leaves: its version in the header, and a
+  // config hash other than ours (the layout version is mixed into it).
+  ShmArena& arena = table->arena();
+  arena.at<ServiceHeader>(ShmNamedLockTable::header_offset())
+      ->layout_version.store(4, std::memory_order_seq_cst);
+  arena.superblock().config_hash.store(shm_config_hash(cfg) ^ 1,
+                                       std::memory_order_seq_cst);
+
+  ShmTableConfig peeked;
+  EXPECT_FALSE(ShmNamedLockTable::peek_config(seg.name, &peeked, &error));
+  EXPECT_NE(error.find("layout version mismatch (have 4, want 5)"),
+            std::string::npos)
+      << error;
+  error.clear();
+  EXPECT_EQ(ShmNamedLockTable::attach(seg.name, cfg, &error), nullptr);
+  EXPECT_NE(error.find("config hash mismatch"), std::string::npos) << error;
+}
+
 TEST(ShmIpcStat, PeekConfigRejectsMissingSegment) {
   ShmTableConfig cfg;
   std::string error;

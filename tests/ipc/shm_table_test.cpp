@@ -359,6 +359,56 @@ TEST(ShmIpcTable, ForgedSwitchAnnouncedDeathRedoesTheSwitch) {
   EXPECT_TRUE(survivor->try_acquire_for(key, 2s).has_value());
 }
 
+// --- the spin-node pool ---------------------------------------------------
+
+/// Acquire and release `key` `n` times: a lone passer is always last out,
+/// so every passage switches the stripe's instance and allocates a node.
+void solo_passages(ShmNamedLockTable::Session& session, std::uint64_t key,
+                   int n) {
+  for (int i = 0; i < n; ++i) {
+    auto guard = session.acquire(key);
+    (void)guard;
+  }
+}
+
+TEST(ShmIpcTable, SpinNodeRecyclesReachTheSegmentCounters) {
+  ScopedSegment seg(unique_name("recycle"));
+  std::string error;
+  const ShmTableConfig cfg = small_config();
+  auto table = ShmNamedLockTable::create(seg.name, cfg, &error);
+  ASSERT_NE(table, nullptr) << error;
+  auto session = table->open_session();
+  ASSERT_TRUE(session.has_value());
+
+  // More switches than a pid's N+1 nodes force reclaim scans.
+  const int per_pool = static_cast<int>(cfg.nprocs) + 1;
+  solo_passages(*session, 7, 3 * per_pool);
+  const auto totals = table->shm_metrics().totals();
+  EXPECT_EQ(totals.instance_switches, 3u * per_pool);
+  EXPECT_GT(totals.spin_node_recycles, 0u);
+}
+
+/// A pid that died inside its reclaim scan, between each node's go reset and
+/// its free mark, must not lose those nodes: N+1 per pid still guarantees
+/// every later switch a node.
+TEST(ShmIpcTable, TornSpinNodeReclaimIsFinishedNotLeaked) {
+  ScopedSegment seg(unique_name("torn"));
+  std::string error;
+  const ShmTableConfig cfg = small_config();
+  auto table = ShmNamedLockTable::create(seg.name, cfg, &error);
+  ASSERT_NE(table, nullptr) << error;
+  auto session = table->open_session();
+  ASSERT_TRUE(session.has_value());
+
+  const std::uint64_t key = 7;
+  const int per_pool = static_cast<int>(cfg.nprocs) + 1;
+  solo_passages(*session, key, per_pool);  // every node issued, most retired
+  table->stripe(table->stripe_of(key)).debug_forge_torn_reclaim(session->id());
+
+  solo_passages(*session, key, 2 * per_pool);
+  EXPECT_EQ(table->shm_metrics().totals().instance_switches, 3u * per_pool);
+}
+
 // --- satellite: dead-session deadline cancellation ------------------------
 
 TEST(ShmIpcTable, RecoveryCancelsDeadSessionsArmedDeadlines) {

@@ -369,9 +369,10 @@ TEST(LitmusIpcArenaSeal, AttachSeesAllPreSealWrites) {
 }
 
 // ---- ipc.node_state --------------------------------------------------------
-// Spin-node free/issued marks, op-for-op (ipc/shm_journal.hpp release store of
-// kStateFree -> allocator's acquire load): an allocator that reads "free"
-// must observe the previous owner's reset of the node's go word.
+// Spin-node free/issued marks, op-for-op (core/spin_pool.hpp release store of
+// kFree -> select's acquire load): an allocator that reads "free" must
+// observe the previous owner's reset of the node's go word. The edge matters
+// in the arena placement, where the next allocator may be another process.
 TEST(LitmusIpcNodeState, FreeMarkPublishesNodeReset) {
   constexpr std::uint32_t kNodes = 2;
   constexpr std::uint32_t kThreads = 4;
