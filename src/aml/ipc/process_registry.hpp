@@ -5,12 +5,12 @@
 // release(); a process can be SIGKILLed holding a pid. Each slot therefore
 // carries the OS pid of its holder, and survivors detect a dead holder by
 // the kernel's ground truth — kill(pid, 0) == ESRCH — and drive the
-// recovery protocol (see shm_lock.hpp) before reclaiming the slot. Each
-// slot also carries a heartbeat word the holder bumps from its hot path;
-// it is advisory observability (progress monitoring, tests), deliberately
-// NOT a death signal: an idle-but-live holder stops beating, so heartbeat
-// staleness cannot distinguish idleness from death without a false-positive
-// risk that would force a *live* process out of its critical section.
+// recovery protocol (see shm_lock.hpp) before reclaiming the slot. A
+// holder's heartbeat lives in its pid's obs::ShmMetrics counter cell, not
+// here; it is advisory, deliberately NOT a death signal: an idle-but-live
+// holder stops beating, so staleness cannot distinguish idleness from death
+// without a false-positive risk that would force a *live* process out of
+// its critical section.
 //
 // Pid-reuse hardening (v3; closes v1's documented ESRCH blind spot): the
 // kill(pid, 0) probe alone cannot tell a live holder from an unrelated
@@ -62,7 +62,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <ctime>
 
 #include <signal.h>
 #include <unistd.h>
@@ -109,7 +108,7 @@ inline std::uint64_t process_start_ticks(std::uint64_t os_pid) {
 }
 
 // AML_SHM_REGION_BEGIN
-/// One registry slot. Padded so heartbeat stores by one process never
+/// One registry slot. Padded so one holder's idle-epoch stores never
 /// false-share with another slot's lease CASes.
 struct alignas(pal::kCacheLine) ProcessSlot {
   /// (nonce << 2) | state. Zero == (nonce 0, kFree).
@@ -121,14 +120,6 @@ struct alignas(pal::kCacheLine) ProcessSlot {
   /// strictly *before* os_pid so any visible pid already has its start
   /// beside it. 0 = unknown (portable fallback; treated as "no evidence").
   std::atomic<std::uint64_t> os_start;
-  /// Monotonic activity counter the holder bumps from its hot path.
-  /// Advisory observability only — never consulted by dead() (see the file
-  /// header for why heartbeat staleness is not a safe death signal).
-  std::atomic<std::uint64_t> heartbeat;
-  /// CLOCK_MONOTONIC ns of the last beat, so an observer (aml_stat) can
-  /// report heartbeat *age* without sampling the counter twice. Same
-  /// advisory-only caveat as the counter.
-  std::atomic<std::uint64_t> beat_ns;
   /// Global epoch observed at this holder's last no-footprint point
   /// (note_idle); consulted by try_reclaim_zombie's quiescence scan.
   std::atomic<std::uint64_t> idle_epoch;
@@ -224,26 +215,6 @@ class ProcessRegistry {
     // Plain store: the exclusive claim means no other transition can race.
     slots_[id].lease.store(bump_nonce(token) | kFree,
                            std::memory_order_release);  // AML_V_EDGE(ipc.lease_word)
-  }
-
-  /// Liveness pulse from the holder's hot path.
-  void beat(model::Pid id) {
-    slots_[id].heartbeat.fetch_add(1, std::memory_order_relaxed);  // AML_RELAXED(liveness pulse; monotonic counter)
-    struct ::timespec ts {};
-    ::clock_gettime(CLOCK_MONOTONIC, &ts);
-    slots_[id].beat_ns.store(
-        static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
-            static_cast<std::uint64_t>(ts.tv_nsec),
-        std::memory_order_relaxed);  // AML_RELAXED(liveness pulse timestamp)
-  }
-
-  std::uint64_t heartbeat(model::Pid id) const {
-    return slots_[id].heartbeat.load(std::memory_order_relaxed);  // AML_RELAXED(liveness probe)
-  }
-
-  /// CLOCK_MONOTONIC ns of the last beat; 0 when the holder never beat.
-  std::uint64_t heartbeat_ns(model::Pid id) const {
-    return slots_[id].beat_ns.load(std::memory_order_relaxed);  // AML_RELAXED(liveness probe)
   }
 
   State state(model::Pid id) const {

@@ -9,10 +9,12 @@
 // replica objects resolve to the same shm words (see shm_arena.hpp).
 //
 // Sessions lease a dense pid from the shm ProcessRegistry (so ids are
-// unique across all attached processes), and every acquisition pulses the
-// slot's heartbeat (advisory progress observability; death detection is
-// ESRCH + start-time — see process_registry.hpp). When a process dies
-// holding locks, any survivor's
+// unique across all attached processes). A passage writes no bookkeeping
+// that another pid also writes: its activity record (attempts, last event
+// time) is the pid's own ShmMetrics counter cell, and its armed deadline and
+// guard depth are process-local per-pid words only its session updates
+// (death detection is ESRCH + start-time — see process_registry.hpp). When
+// a process dies holding locks, any survivor's
 // recover_dead() finds the stale slots, claims them, and drives each victim
 // passage through the abort/exit path on every stripe (see shm_lock.hpp),
 // then frees — or, for a death inside the one journal-blind doorway window,
@@ -29,16 +31,14 @@
 //     auto-grow reallocates stripe arrays, which a sealed bump arena cannot
 //     express;
 //   * deadlines/abort signals are process-local (a TimerWheel in each
-//     process); recovery cancels the local deadlines of a locally-leased
-//     dead pid so its tokens cannot fire into the next leaseholder.
+//     process); recovery takes a locally-leased dead pid's deadline slot and
+//     cancels its token so it cannot fire into the next leaseholder.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -55,6 +55,7 @@
 #include "aml/ipc/shm_space.hpp"
 #include "aml/obs/metrics.hpp"
 #include "aml/obs/shm_metrics.hpp"
+#include "aml/pal/cache.hpp"
 #include "aml/pal/config.hpp"
 #include "aml/table/hash.hpp"
 
@@ -79,7 +80,7 @@ struct ShmTableConfig {
 /// reordered allocations): it is mixed into the config hash, so a binary
 /// laying out the old sequence is rejected at attach instead of replaying a
 /// different construction into live state.
-inline constexpr std::uint64_t kShmLayoutVersion = 5;
+inline constexpr std::uint64_t kShmLayoutVersion = 6;
 
 /// Everything the layout depends on, mixed into the superblock hash so a
 /// mis-configured attacher is rejected instead of replaying a different
@@ -259,7 +260,7 @@ class ShmNamedLockTable {
     std::uint64_t token = 0;
     const Pid id = registry_.try_lease(&token);
     if (id >= config_.nprocs) return std::nullopt;
-    signals_[id].reset();
+    local_[id].signal.reset();
     return Session(*this, id, token);
   }
 
@@ -410,7 +411,7 @@ class ShmNamedLockTable {
       return std::nullopt;
     }
     const std::uint64_t token = registry_.repossess(id);
-    signals_[id].reset();
+    local_[id].signal.reset();
     stats_.reentries++;
     shm_metrics_.on_reentry(id);
     return Session(*this, id, token);
@@ -447,15 +448,20 @@ class ShmNamedLockTable {
 
   /// Arm a deadline on `id`'s signal without entering a lock (the
   /// dead-session deadline-cancellation test pairs this with
-  /// registry().debug_set_os_pid + recover_dead).
+  /// registry().debug_set_os_pid + recover_dead). A pid arms at most one.
   TimerWheel::Token debug_arm(Pid id, Clock::time_point when) {
-    const TimerWheel::Token token = wheel_.arm(signals_[id], when);
-    std::lock_guard<std::mutex> lk(armed_mu_);
-    armed_[id].push_back(token);
+    std::atomic<TimerWheel::Token>& slot = local_[id].deadline;
+    AML_ASSERT(slot.load(std::memory_order_relaxed) == 0,  // AML_RELAXED(owner-written deadline slot)
+               "debug_arm: pid already has an armed deadline");
+    const TimerWheel::Token token = wheel_.arm(local_[id].signal, when);
+    slot.store(token, std::memory_order_relaxed);  // AML_RELAXED(owner-written deadline slot)
     return token;
   }
 
-  /// A session: a registry pid lease bound to this process. Move-only.
+  /// A session: a registry pid lease bound to this process. Move-only. A
+  /// Session and its Guards are used by one thread at a time (the lock runs
+  /// one passage per pid at a time; the pid's deadline slot and guard depth
+  /// are written only by that thread); hand one over only via a join/mutex.
   class Session {
    public:
     Session(Session&& o) noexcept
@@ -485,7 +491,6 @@ class ShmNamedLockTable {
     template <typename Key>
     Guard acquire(Key key) {
       const std::uint32_t s = owner_->stripe_of(key);
-      owner_->registry_.beat(id_);
       const core::EnterResult r =
           owner_->stripes_[s]->enter(id_, nullptr);
       AML_ASSERT(r.acquired, "unsignalled enter cannot abort");
@@ -497,7 +502,6 @@ class ShmNamedLockTable {
     template <typename Key>
     std::optional<Guard> try_acquire_until(Key key, Clock::time_point when) {
       const std::uint32_t s = owner_->stripe_of(key);
-      owner_->registry_.beat(id_);
       if (!owner_->timed_enter(id_, s, when)) {
         owner_->note_idle_if_quiet(id_);
         return std::nullopt;
@@ -515,7 +519,6 @@ class ShmNamedLockTable {
     template <typename Key>
     std::optional<Guard> try_acquire(Key key, const AbortSignal& signal) {
       const std::uint32_t s = owner_->stripe_of(key);
-      owner_->registry_.beat(id_);
       if (!owner_->stripes_[s]->enter(id_, signal.flag()).acquired) {
         owner_->note_idle_if_quiet(id_);
         return std::nullopt;
@@ -552,7 +555,6 @@ class ShmNamedLockTable {
 
     void release() {
       if (owner_ != nullptr) {
-        owner_->registry_.beat(pid_);
         owner_->stripes_[stripe_]->exit(pid_);
         owner_->guard_released(pid_);
         owner_ = nullptr;
@@ -584,9 +586,7 @@ class ShmNamedLockTable {
         space_(*arena_, cfg.nprocs),
         registry_(*arena_, cfg.nprocs),
         shm_metrics_(*arena_, cfg.nprocs, cfg.stripes, cfg.ring_capacity),
-        signals_(cfg.nprocs),
-        armed_(cfg.nprocs),
-        guard_depth_(new std::atomic<std::uint32_t>[cfg.nprocs]()) {
+        local_(new PidLocal[cfg.nprocs]) {
     stripes_.reserve(cfg.stripes);
     for (std::uint32_t s = 0; s < cfg.stripes; ++s) {
       stripes_.push_back(std::make_unique<Stripe>(
@@ -645,58 +645,63 @@ class ShmNamedLockTable {
   // Quiescence bookkeeping feeding zombie reclamation: a pid's idle epoch
   // is refreshed whenever it provably holds no lock — last guard released,
   // or an acquisition failed while no guard was held. The depth counter is
-  // process-local (sessions live in one process), so this costs no RMR.
+  // process-local and written only by the pid's session (one thread at a
+  // time), so it takes a load and a store: no RMW, no RMR.
   void guard_acquired(Pid id) {
-    guard_depth_[id].fetch_add(1, std::memory_order_relaxed);  // AML_RELAXED(per-id guard depth; single owner)
+    std::atomic<std::uint32_t>& depth = local_[id].guard_depth;
+    const std::uint32_t d = depth.load(std::memory_order_relaxed);  // AML_RELAXED(owner-written guard depth)
+    depth.store(d + 1, std::memory_order_relaxed);  // AML_RELAXED(owner-written guard depth)
   }
   void guard_released(Pid id) {
-    if (guard_depth_[id].fetch_sub(1, std::memory_order_relaxed) == 1) {  // AML_RELAXED(per-id guard depth; single owner)
-      registry_.note_idle(id);
-    }
+    std::atomic<std::uint32_t>& depth = local_[id].guard_depth;
+    const std::uint32_t d = depth.load(std::memory_order_relaxed);  // AML_RELAXED(owner-written guard depth)
+    AML_DASSERT(d != 0, "guard depth underflow: session shared by threads?");
+    depth.store(d - 1, std::memory_order_relaxed);  // AML_RELAXED(owner-written guard depth)
+    if (d == 1) registry_.note_idle(id);
   }
   void note_idle_if_quiet(Pid id) {
-    if (guard_depth_[id].load(std::memory_order_relaxed) == 0) {  // AML_RELAXED(per-id guard depth; single owner)
+    if (local_[id].guard_depth.load(std::memory_order_relaxed) == 0) {  // AML_RELAXED(owner-written guard depth)
       registry_.note_idle(id);
     }
   }
 
+  /// The armed token sits in the pid's deadline slot while enter() runs, so
+  /// cancel_deadlines can find it; whoever exchange(0)s it out cancels it.
+  /// The slot only carries the token: the wheel's mutex orders arm/cancel.
   bool timed_enter(Pid pid, std::uint32_t s, Clock::time_point when) {
-    AbortSignal& signal = signals_[pid];
+    AbortSignal& signal = local_[pid].signal;
     signal.reset();
-    TimerWheel::Token token;
-    {
-      std::lock_guard<std::mutex> lk(armed_mu_);
-      token = wheel_.arm(signal, when);
-      armed_[pid].push_back(token);
-    }
+    std::atomic<TimerWheel::Token>& slot = local_[pid].deadline;
+    slot.store(wheel_.arm(signal, when), std::memory_order_relaxed);  // AML_RELAXED(token hand-over; the wheel's mutex orders arm/cancel)
     const bool ok = stripes_[s]->enter(pid, signal.flag()).acquired;
-    {
-      std::lock_guard<std::mutex> lk(armed_mu_);
-      wheel_.cancel(token);
-      auto& tokens = armed_[pid];
-      for (std::size_t i = 0; i < tokens.size(); ++i) {
-        if (tokens[i] == token) {
-          tokens[i] = tokens.back();
-          tokens.pop_back();
-          break;
-        }
-      }
-    }
+    const TimerWheel::Token token =
+        slot.exchange(0, std::memory_order_relaxed);  // AML_RELAXED(token hand-over; the wheel's mutex orders arm/cancel)
+    if (token != 0) wheel_.cancel(token);
     return ok;
   }
 
-  /// Disarm every deadline this process armed for a now-dead pid, and reset
-  /// the signal so a stale raise cannot leak into the next leaseholder.
+  /// Disarm the deadline this process armed for a now-dead pid, if still
+  /// armed, and reset the signal so a stale raise cannot leak into the next
+  /// leaseholder.
   void cancel_deadlines(Pid victim) {
-    std::lock_guard<std::mutex> lk(armed_mu_);
-    auto& tokens = armed_[victim];
-    for (const TimerWheel::Token token : tokens) {
+    const TimerWheel::Token token = local_[victim].deadline.exchange(
+        0, std::memory_order_relaxed);  // AML_RELAXED(token hand-over; the wheel's mutex orders arm/cancel)
+    if (token != 0) {
       wheel_.cancel(token);
       stats_.cancelled_deadlines++;
     }
-    tokens.clear();
-    signals_[victim].reset();
+    local_[victim].signal.reset();
   }
+
+  /// Process-local state of one pid, one cache line so a waiter polling its
+  /// signal never shares it with another session. Only the pid's session
+  /// writes it, but the wheel raises the signal and cancel_deadlines takes
+  /// a dead pid's deadline.
+  struct alignas(pal::kCacheLine) PidLocal {
+    AbortSignal signal;  ///< timed attempts only
+    std::atomic<TimerWheel::Token> deadline{0};  ///< armed token; 0 = none
+    std::atomic<std::uint32_t> guard_depth{0};   ///< live guards
+  };
 
   ShmTableConfig config_;
   std::unique_ptr<ShmArena> arena_;
@@ -705,12 +710,10 @@ class ShmNamedLockTable {
   ProcessRegistry registry_;
   obs::ShmMetrics shm_metrics_;  ///< segment-hosted, crash-surviving sink
   std::vector<std::unique_ptr<Stripe>> stripes_;
-  std::deque<AbortSignal> signals_;  ///< one per dense pid; timed ops only
+  /// One per dense pid. Declared before wheel_ so it outlives the wheel
+  /// thread, which raises the signals in it.
+  std::unique_ptr<PidLocal[]> local_;
   TimerWheel wheel_;
-  std::mutex armed_mu_;  ///< guards armed_ (token tracking for recovery)
-  std::vector<std::vector<TimerWheel::Token>> armed_;
-  /// Per-pid count of live guards in this process (see guard_released).
-  std::unique_ptr<std::atomic<std::uint32_t>[]> guard_depth_;
   RecoveryStats stats_;
 };
 

@@ -1,7 +1,8 @@
 // Shared JSON snapshot of a cross-process lock service, read entirely from
-// the shm segment: registry lease states with heartbeat ages, per-pid
-// journaled phases, per-stripe installed/refcnt/recovery state, the shm
-// metrics counters and histograms, and the newest events of the
+// the shm segment: registry lease states with heartbeats (from each pid's
+// shm counter cell), per-pid journaled phases, per-stripe
+// installed/refcnt/recovery state, the shm metrics counters and
+// histograms, and the newest events of the
 // crash-surviving per-pid event rings, merged by timestamp.
 //
 // Three consumers render the same bytes: tools/aml_stat (the live/orphaned
@@ -110,17 +111,17 @@ inline void write_stat_json(std::ostream& os, ShmNamedLockTable& table,
      << ",\"ring_capacity\":" << cfg.ring_capacity
      << ",\"segment_bytes\":" << table.arena().bytes() << "}";
 
-  // --- registry: lease states, heartbeat ages, journaled phases ---------
+  // --- registry: lease states, heartbeats, journaled phases -------------
   os << ",\"registry\":[";
   for (Pid p = 0; p < cfg.nprocs; ++p) {
     if (p != 0) os << ",";
     ProcessRegistry& reg = table.registry();
     const ProcessRegistry::State st = reg.state(p);
-    const std::uint64_t beat_ns = reg.heartbeat_ns(p);
+    const std::uint64_t beat_ns = shm.last_ns(p);
     os << "{\"pid\":" << p << ",\"state\":\""
        << stat_detail::lease_state_name(st) << "\",\"os_pid\":" << reg.os_pid(p)
        << ",\"os_start\":" << reg.os_start(p)
-       << ",\"heartbeat\":" << reg.heartbeat(p)
+       << ",\"heartbeat\":" << shm.heartbeat(p)
        << ",\"idle_epoch\":" << reg.idle_epoch(p);
     if (st == ProcessRegistry::kZombie) {
       os << ",\"retired_epoch\":" << reg.retired_epoch(p);

@@ -127,7 +127,9 @@ struct alignas(pal::kCacheLine) ShmCounterCell {
   std::atomic<std::uint64_t> instance_switches;
   std::atomic<std::uint64_t> spin_node_recycles;
   std::atomic<std::uint64_t> ring_head;  ///< events this pid ever emitted
+  std::atomic<std::uint64_t> last_ns;  ///< stamp of its last event; 0 = none
 };
+static_assert(sizeof(ShmCounterCell) == pal::kCacheLine);
 
 /// One shm ring slot: claim-odd/publish-even tag plus the payload packed
 /// into atomic words (see events.hpp for the tag protocol; this is its
@@ -264,7 +266,7 @@ class ShmMetrics {
   /// Slots in each pid's ring: ceil(ring_capacity / nprocs).
   std::uint32_t ring_slots_per_pid() const { return ring_per_pid_; }
 
-  /// Wall reference for heartbeat ages and sweep durations.
+  /// Wall reference for event stamps, heartbeat ages and sweep durations.
   static std::uint64_t now_ns() {
     struct ::timespec ts {};
     ::clock_gettime(CLOCK_MONOTONIC, &ts);
@@ -408,6 +410,17 @@ class ShmMetrics {
     t.spin_node_recycles =
         c.spin_node_recycles.load(std::memory_order_relaxed);
     return t;
+  }
+
+  /// `p`'s heartbeat (advisory; see process_registry.hpp): the attempts it
+  /// finished, grants + aborts, and the CLOCK_MONOTONIC stamp of its last
+  /// event (0 when it never emitted one).
+  std::uint64_t heartbeat(model::Pid p) const {
+    const Totals t = pid_counters(p);
+    return t.acquisitions + t.aborts;
+  }
+  std::uint64_t last_ns(model::Pid p) const {
+    return counters_[p].last_ns.load(std::memory_order_relaxed);
   }
 
   Totals totals() const {
@@ -557,13 +570,14 @@ class ShmMetrics {
     emit_at(kind, stripe, pid, victim, slot, instance, now_ns());
   }
 
-  /// Push into `pid`'s own ring: advance its head (a plain store — the
-  /// owner is the only writer), then relaxed stores into the claimed slot
-  /// (claim odd, payload, publish even). A writer that dies in between
-  /// leaves one torn slot; the pid's next owner continues past it.
+  /// Stamp `pid`'s last_ns, then push into its own ring: advance its head
+  /// (plain stores — the owner is the only writer), then relaxed stores
+  /// into the claimed slot (claim odd, payload, publish even). A writer
+  /// that dies in between leaves one torn slot; its next owner skips it.
   void emit_at(ShmEventKind kind, std::uint32_t stripe, model::Pid pid,
                model::Pid victim, std::uint32_t slot, std::uint32_t instance,
                std::uint64_t t) {
+    counters_[pid].last_ns.store(t, std::memory_order_relaxed);
     if (ring_per_pid_ == 0) return;
     std::atomic<std::uint64_t>& head = counters_[pid].ring_head;
     const std::uint64_t seq = head.load(std::memory_order_relaxed);

@@ -78,16 +78,6 @@ TEST(ShmIpcRegistry, FullRegistryRejectsLease) {
   EXPECT_EQ(reg.try_lease(), 2u);  // == nprocs: full
 }
 
-TEST(ShmIpcRegistry, HeartbeatIsMonotonic) {
-  RegistryFixture f(1);
-  ProcessRegistry& reg = *f.registry;
-  ASSERT_EQ(reg.try_lease(), 0u);
-  const std::uint64_t before = reg.heartbeat(0);
-  reg.beat(0);
-  reg.beat(0);
-  EXPECT_EQ(reg.heartbeat(0), before + 2);
-}
-
 TEST(ShmIpcRegistry, DeadDetectsForgedEsrchPidOnly) {
   RegistryFixture f(2);
   ProcessRegistry& reg = *f.registry;

@@ -480,6 +480,46 @@ TEST(ShmIpcStat, StatJsonReportsVictimPhaseThenRecoveryCounters) {
   EXPECT_NE(after.find("\"state\":\"free\""), std::string::npos);
 }
 
+// The registry entry's heartbeat is the pid's finished attempts, read from
+// its shm counter cell: one per grant and one per timeout — not a count of
+// acquire and release calls — and its age is the time since its last event.
+TEST(ShmIpcStat, HeartbeatCountsAttemptsFromTheCounterCell) {
+  ScopedSegment seg(unique_name("heartbeat"));
+  std::string error;
+  auto table = ShmNamedLockTable::create(seg.name, small_config(), &error);
+  ASSERT_NE(table, nullptr) << error;
+
+  auto holder = table->open_session();
+  auto session = table->open_session();
+  ASSERT_TRUE(holder && session);
+  const std::uint64_t key = 5;
+  constexpr int kGrants = 3;
+  constexpr int kTimeouts = 2;
+  {
+    auto held = holder->acquire(key);
+    for (int i = 0; i < kTimeouts; ++i) {
+      EXPECT_FALSE(session->try_acquire_for(key, 1ms).has_value());
+    }
+  }
+  for (int i = 0; i < kGrants; ++i) {
+    auto guard = session->try_acquire_for(key, 2s);
+    EXPECT_TRUE(guard.has_value());
+  }
+
+  std::ostringstream out;
+  write_stat_json(out, *table);
+  const std::string json = out.str();
+  const std::size_t at =
+      json.find("{\"pid\":" + std::to_string(session->id()) + ",\"state\"");
+  ASSERT_NE(at, std::string::npos) << json;
+  const std::string entry = json.substr(at, json.find("\"phases\"", at) - at);
+  EXPECT_NE(entry.find("\"heartbeat\":" + std::to_string(kGrants + kTimeouts) +
+                       ","),
+            std::string::npos)
+      << entry;
+  EXPECT_NE(entry.find("\"heartbeat_age_ns\":"), std::string::npos) << entry;
+}
+
 TEST(ShmIpcStat, PeekConfigDiscoversCreatorLayout) {
   ScopedSegment seg(unique_name("peek"));
   ShmTableConfig cfg = small_config();
@@ -505,26 +545,28 @@ TEST(ShmIpcStat, PeekConfigDiscoversCreatorLayout) {
   EXPECT_EQ(replica->shm_metrics().totals().acquisitions, 1u);
 }
 
-// Layout 5 changed the spin-node marks and the creator's first node: a
-// segment laid out by a layout-4 binary must be refused, never replayed.
-TEST(ShmIpcStat, Layout4SegmentIsRejectedCleanly) {
-  ScopedSegment seg(unique_name("layout4"));
+// Every layout bump changes the construction replay or the meaning of a
+// shm word (layout 6: the counter cell's last_ns, the registry slot without
+// its heartbeat words): a segment laid out by the previous layout's binary
+// must be refused, never replayed.
+TEST(ShmIpcStat, PreviousLayoutSegmentIsRejectedCleanly) {
+  ScopedSegment seg(unique_name("prevlayout"));
   const ShmTableConfig cfg = small_config();
   std::string error;
   auto table = ShmNamedLockTable::create(seg.name, cfg, &error);
   ASSERT_NE(table, nullptr) << error;
-  ASSERT_EQ(kShmLayoutVersion, 5u);
-  // Forge what a layout-4 creator leaves: its version in the header, and a
-  // config hash other than ours (the layout version is mixed into it).
+  ASSERT_EQ(kShmLayoutVersion, 6u);
+  // Forge what a previous-layout creator leaves: its version in the header,
+  // and a config hash other than ours (the layout version is mixed into it).
   ShmArena& arena = table->arena();
   arena.at<ServiceHeader>(ShmNamedLockTable::header_offset())
-      ->layout_version.store(4, std::memory_order_seq_cst);
+      ->layout_version.store(kShmLayoutVersion - 1, std::memory_order_seq_cst);
   arena.superblock().config_hash.store(shm_config_hash(cfg) ^ 1,
                                        std::memory_order_seq_cst);
 
   ShmTableConfig peeked;
   EXPECT_FALSE(ShmNamedLockTable::peek_config(seg.name, &peeked, &error));
-  EXPECT_NE(error.find("layout version mismatch (have 4, want 5)"),
+  EXPECT_NE(error.find("layout version mismatch (have 5, want 6)"),
             std::string::npos)
       << error;
   error.clear();

@@ -6,9 +6,13 @@
 // shm_fork_test.cpp.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <random>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include <unistd.h>
 
@@ -60,7 +64,8 @@ TEST(ShmIpcTable, CreateAcquireReleaseCountsInObs) {
   }
   EXPECT_EQ(table->shm_metrics().totals().acquisitions, 2u);
   EXPECT_EQ(table->shm_metrics().totals().aborts, 0u);
-  EXPECT_GT(table->registry().heartbeat(session->id()), 0u);
+  EXPECT_EQ(table->shm_metrics().heartbeat(session->id()), 2u);
+  EXPECT_GT(table->shm_metrics().last_ns(session->id()), 0u);
 }
 
 TEST(ShmIpcTable, AttachedReplicaSharesTheLocks) {
@@ -421,19 +426,19 @@ TEST(ShmIpcTable, RecoveryCancelsDeadSessionsArmedDeadlines) {
   auto survivor = table->open_session();
   ASSERT_TRUE(victim && survivor);
 
-  // Arm two far-future deadlines for the victim (as a timed acquisition
-  // would) so they are pending on this process's wheel.
+  // Arm a far-future deadline for the victim (as a timed acquisition would)
+  // so it is pending on this process's wheel. A pid holds at most one: a
+  // session runs one timed attempt at a time.
   table->debug_arm(victim->id(), ShmNamedLockTable::Clock::now() + 1h);
-  table->debug_arm(victim->id(), ShmNamedLockTable::Clock::now() + 2h);
-  ASSERT_EQ(table->pending_deadlines(), 2u);
+  ASSERT_EQ(table->pending_deadlines(), 1u);
 
   table->registry().debug_set_os_pid(victim->id(), kForgedDeadPid);
   EXPECT_EQ(survivor->recover_dead(), 1u);
 
-  // Recovery disarmed the victim's timers: they can no longer fire into the
+  // Recovery disarmed the victim's timer: it can no longer fire into the
   // pid's next leaseholder.
   EXPECT_EQ(table->pending_deadlines(), 0u);
-  EXPECT_EQ(table->recovery_stats().cancelled_deadlines, 2u);
+  EXPECT_EQ(table->recovery_stats().cancelled_deadlines, 1u);
 
   // The reclaimed pid's next session starts with a clean signal: a timed
   // acquisition against an uncontended key succeeds immediately.
@@ -441,6 +446,53 @@ TEST(ShmIpcTable, RecoveryCancelsDeadSessionsArmedDeadlines) {
   ASSERT_TRUE(successor.has_value());
   EXPECT_EQ(successor->id(), victim->id());
   EXPECT_TRUE(successor->try_acquire_for(std::uint64_t{3}, 2s).has_value());
+}
+
+// Deadline-bounded attempts from several threads, each on its own session,
+// with budgets short enough that many fire mid-attempt: every attempt takes
+// its own token back out of its pid's deadline slot, so none stays armed and
+// no stripe is left held.
+TEST(ShmIpcTableStress, TimedAttemptsLeaveNoArmedDeadline) {
+  ScopedSegment seg(unique_name("timedstress"));
+  std::string error;
+  ShmTableConfig cfg = small_config();
+  cfg.stripes = 4;
+  auto table = ShmNamedLockTable::create(seg.name, cfg, &error);
+  ASSERT_NE(table, nullptr) << error;
+
+  constexpr int kThreads = 3;
+  constexpr int kAttempts = 2000;
+  std::vector<std::thread> threads;
+  std::atomic<std::uint64_t> granted{0};
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&table, &granted, t] {
+      auto session = table->open_session();
+      ASSERT_TRUE(session.has_value());
+      std::mt19937 rng(static_cast<std::uint32_t>(t + 1));
+      for (int i = 0; i < kAttempts; ++i) {
+        const std::uint64_t key = rng() % 4;
+        const auto budget = std::chrono::microseconds(1 + rng() % 20);
+        if (auto guard = session->try_acquire_for(key, budget)) {
+          granted.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+
+  EXPECT_GT(granted.load(), 0u);
+  EXPECT_EQ(table->pending_deadlines(), 0u);
+  auto session = table->open_session();
+  ASSERT_TRUE(session.has_value());
+  std::vector<bool> acquired(table->stripe_count(), false);
+  for (std::uint64_t key = 0; key < 256; ++key) {
+    auto guard = session->try_acquire_for(key, 2s);
+    ASSERT_TRUE(guard.has_value()) << "key " << key;
+    acquired[guard->stripe()] = true;
+  }
+  for (std::uint32_t s = 0; s < table->stripe_count(); ++s) {
+    EXPECT_TRUE(acquired[s]) << "stripe " << s;
+  }
 }
 
 }  // namespace

@@ -74,8 +74,8 @@ void print_watch(std::ostream& os, ShmNamedLockTable& table) {
     }
     os << p << "    " << name;
     for (std::size_t pad = std::strlen(name); pad < 12; ++pad) os << ' ';
-    os << reg.os_pid(p) << "\t " << reg.heartbeat(p) << "\t    ";
-    const std::uint64_t beat = reg.heartbeat_ns(p);
+    os << reg.os_pid(p) << "\t " << shm.heartbeat(p) << "\t    ";
+    const std::uint64_t beat = shm.last_ns(p);
     if (beat != 0 && now > beat) {
       os << (now - beat) / 1'000'000;
     } else {
