@@ -62,10 +62,10 @@ int main() {
                                     stormy));
 
   // What the observability sink saw during the stormy run.
-  Table events("obs event ring — the stormy run, in logical-clock order");
+  Table events("obs event rings — the stormy run, in logical-clock order");
   events.headers({"tick", "event", "pid", "slot"});
-  for (const auto& e : metrics.ring().snapshot()) {
-    events.row({Table::num(e.tick), aml::obs::event_kind_name(e.kind),
+  for (const auto& e : metrics.ring_snapshot()) {
+    events.row({Table::num(e.ts), aml::obs::event_kind_name(e.kind),
                 Table::num(std::uint64_t{e.pid}),
                 e.slot == aml::obs::kNoSlot
                     ? "-"

@@ -205,8 +205,7 @@ class SpinNodePool {
         // The mark precedes the reset in every prefix a dying reclaimer
         // can leave behind; otherwise an issued node with go == 0 would
         // read as installed forever.
-        mark(idx).store(kReclaiming, std::memory_order_relaxed);  // AML_RELAXED(ordered before the reset by the fence below)
-        std::atomic_thread_fence(std::memory_order_release);
+        mark(idx).store(kReclaiming, std::memory_order_relaxed);  // AML_RELAXED(ordered before the reset by its release store)
       } else if (m != kReclaiming) {
         continue;
       }
@@ -222,8 +221,11 @@ class SpinNodePool {
     // Reset is private until the node is re-issued: the free mark's release
     // below publishes it to the next selector (ipc.node_state), and a
     // spinner only finds the node through a LockDesc read that
-    // happens-after the owner's seq_cst install CAS.
-    model::ord::write_rlx(mem_, exec, *nodes_[idx].go, 0);  // AML_RELAXED(published by the free mark's release and the next install CAS)
+    // happens-after the owner's seq_cst install CAS. The reset is itself a
+    // release so that whoever reads go == 0 also reads the kReclaiming mark
+    // stored before it (the same plain mov as a relaxed store on x86-64,
+    // and unlike a standalone fence, visible to TSan).
+    model::ord::write_rel(mem_, exec, *nodes_[idx].go, 0);  // AML_V_EDGE(ipc.node_state)
     if (torn) return;
     mark(idx).store(kFree, std::memory_order_release);  // AML_V_EDGE(ipc.node_state)
   }

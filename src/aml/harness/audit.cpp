@@ -7,25 +7,10 @@
 
 namespace aml::harness {
 
-void EventLog::record(model::Pid pid, EventKind kind, std::uint32_t slot) {
-  std::lock_guard<std::mutex> guard(mu_);
-  events_.push_back(Event{next_seq_++, pid, kind, slot});
-}
-
-void EventLog::clear() {
-  std::lock_guard<std::mutex> guard(mu_);
-  events_.clear();
-  next_seq_ = 0;
-}
-
-std::vector<Event> EventLog::events() const {
-  std::lock_guard<std::mutex> guard(mu_);
-  return events_;
-}
-
 namespace {
 
-AuditReport audit_common(const std::vector<Event>& events, bool one_shot) {
+AuditReport audit_common(const std::vector<obs::Event>& events,
+                         bool one_shot) {
   AuditReport report;
   bool inside = false;
   model::Pid holder = model::kNoPid;
@@ -34,13 +19,13 @@ AuditReport audit_common(const std::vector<Event>& events, bool one_shot) {
   bool have_last_slot = false;
   std::uint32_t last_slot = 0;
 
-  for (const Event& e : events) {
+  for (const obs::Event& e : events) {
     switch (e.kind) {
-      case EventKind::kDoorway:
+      case obs::EventKind::kEnter:
         report.doorways++;
         open_attempts[e.pid]++;
         break;
-      case EventKind::kAcquire:
+      case obs::EventKind::kGranted:
         report.acquires++;
         acquires_by_pid[e.pid]++;
         open_attempts[e.pid]--;
@@ -53,16 +38,18 @@ AuditReport audit_common(const std::vector<Event>& events, bool one_shot) {
         last_slot = e.slot;
         have_last_slot = true;
         break;
-      case EventKind::kRelease:
+      case obs::EventKind::kExit:
         report.releases++;
         if (!inside || holder != e.pid) report.conservation_ok = false;
         inside = false;
         holder = model::kNoPid;
         break;
-      case EventKind::kAbort:
+      case obs::EventKind::kAbort:
         report.aborts++;
         open_attempts[e.pid]--;
         break;
+      default:
+        break;  // switches and recovery arms are not attempt steps
     }
   }
   if (inside) report.conservation_ok = false;  // acquire without release
@@ -88,11 +75,11 @@ AuditReport audit_common(const std::vector<Event>& events, bool one_shot) {
 
 }  // namespace
 
-AuditReport audit_one_shot(const std::vector<Event>& events) {
+AuditReport audit_one_shot(const std::vector<obs::Event>& events) {
   return audit_common(events, /*one_shot=*/true);
 }
 
-AuditReport audit_long_lived(const std::vector<Event>& events) {
+AuditReport audit_long_lived(const std::vector<obs::Event>& events) {
   return audit_common(events, /*one_shot=*/false);
 }
 

@@ -1,65 +1,33 @@
-// Execution auditing: a thread-safe event log that lock workloads append
-// doorway/acquire/release/abort events to, and an auditor that checks the
-// paper's safety and fairness properties over the recorded history:
+// Execution auditing: checks the paper's safety and fairness properties
+// over a lock's own event stream (obs::Metrics::ring_snapshot(), or any
+// std::vector<obs::Event> in time order):
 //
-//   * mutual exclusion — acquire/release strictly alternate;
-//   * conservation     — every acquire has a release; every attempt ends;
+//   * mutual exclusion — granted/exit strictly alternate;
+//   * conservation     — every grant has an exit; every attempt ends;
 //   * FCFS             — critical-section order follows doorway (queue
 //                        slot) order among completers (one-shot lock);
 //   * single shot      — no process acquires twice (one-shot workloads);
 //   * starvation freedom — every attempt that completed its doorway resolved
-//                        (acquired or aborted) by the end of the history: a
+//                        (granted or aborted) by the end of the history: a
 //                        process still parked when the run is over is a lost
 //                        wake-up, the failure mode of a broken hand-off.
 //
-// Tests and the fairness bench build on this instead of re-deriving ad-hoc
-// checks.
+// Only the lifecycle kinds count (enter = doorway, granted, exit, abort);
+// switches and recovery arms are ignored. Tests and the fairness bench build
+// on this instead of re-deriving ad-hoc checks.
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "aml/model/types.hpp"
+#include "aml/obs/events.hpp"
 
 namespace aml::harness {
 
-enum class EventKind : std::uint8_t {
-  kDoorway,  ///< doorway completed (slot assigned)
-  kAcquire,  ///< entered the critical section
-  kRelease,  ///< exited the critical section
-  kAbort,    ///< attempt abandoned
-};
-
-struct Event {
-  std::uint64_t seq;   ///< global order of recording
-  model::Pid pid;
-  EventKind kind;
-  std::uint32_t slot;  ///< queue slot (kDoorway/kAcquire), else 0
-};
-
-/// Append-only, thread-safe event log. Recording takes a mutex: under the
-/// deterministic scheduler that adds no nondeterminism (one process runs at
-/// a time), and in native runs the log order is a linearization consistent
-/// with real time.
-class EventLog {
- public:
-  void record(model::Pid pid, EventKind kind, std::uint32_t slot = 0);
-  void clear();
-
-  /// Snapshot of all events (call after the run).
-  std::vector<Event> events() const;
-
- private:
-  mutable std::mutex mu_;
-  std::vector<Event> events_;
-  std::uint64_t next_seq_ = 0;
-};
-
 struct AuditReport {
   bool mutex_ok = true;          ///< no overlapping critical sections
-  bool conservation_ok = true;   ///< acquires == releases, no double acquire
+  bool conservation_ok = true;   ///< grants == exits, no double acquire
   bool starvation_ok = true;     ///< every doorway resolved by history end
   std::uint64_t fcfs_inversions = 0;  ///< CS entries out of slot order
   std::uint64_t unresolved_attempts = 0;  ///< doorways never acquired/aborted
@@ -76,11 +44,11 @@ struct AuditReport {
 };
 
 /// Audit a one-shot-style history (each process attempts once).
-AuditReport audit_one_shot(const std::vector<Event>& events);
+AuditReport audit_one_shot(const std::vector<obs::Event>& events);
 
 /// Audit a long-lived history: mutual exclusion and conservation only
 /// (the long-lived lock is not FCFS; fcfs_inversions is still reported,
 /// informationally).
-AuditReport audit_long_lived(const std::vector<Event>& events);
+AuditReport audit_long_lived(const std::vector<obs::Event>& events);
 
 }  // namespace aml::harness

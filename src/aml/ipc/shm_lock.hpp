@@ -215,7 +215,7 @@ class ShmStripeLockT : private ShmLongLivedLock {
         v.current.load(std::memory_order_seq_cst));
     const std::uint32_t slot = attempt_slot(att);
     const std::uint32_t inst_idx = attempt_instance(att);
-    using K = obs::ShmEventKind;
+    using K = obs::EventKind;
     switch (phase) {
       case kIdle:
       case kSpinWait:
@@ -320,7 +320,7 @@ class ShmStripeLockT : private ShmLongLivedLock {
         (att & kAttemptRecorded) != 0 ? attempt_slot(att) : obs::kNoSlot;
     const std::uint64_t ann = v.ann_desc.load(std::memory_order_seq_cst);
     const std::uint64_t seq = ann_seq(ann);
-    obs::ShmEventKind kind = obs::ShmEventKind::kFaCompensated;
+    obs::EventKind kind = obs::EventKind::kFaCompensated;
     switch (ann_op(ann)) {
       case kAnnOpSwitch: {
         // The release already landed (a switch is only announced after its
@@ -331,13 +331,13 @@ class ShmStripeLockT : private ShmLongLivedLock {
         v.old_spn.store(pre.spn, std::memory_order_seq_cst);
         if (landed(exec, victim, seq)) {
           finish_switch(exec, victim, pre);
-          kind = obs::ShmEventKind::kFaCompleted;
+          kind = obs::EventKind::kFaCompleted;
         } else if (mem_.read(exec, *lock_desc_) == pre_raw) {
           // Word untouched since the announcement: redo the same switch
           // under the same sequence number.
           kind = switch_attempt(exec, victim, pre_raw, seq)
-                     ? obs::ShmEventKind::kFaCompleted
-                     : obs::ShmEventKind::kFaCompensated;
+                     ? obs::EventKind::kFaCompleted
+                     : obs::EventKind::kFaCompensated;
         } else {
           // A joiner moved the word: the switch must be abandoned. Free
           // the journaled node if one was chosen.
@@ -370,7 +370,7 @@ class ShmStripeLockT : private ShmLongLivedLock {
                      Desc::pack(pre.lock, pre.spn, 0,
                                 static_cast<std::uint32_t>(victim), seq));
         }
-        kind = obs::ShmEventKind::kFaCompleted;
+        kind = obs::EventKind::kFaCompleted;
         break;
       }
       default:
@@ -388,7 +388,7 @@ class ShmStripeLockT : private ShmLongLivedLock {
   /// Exactly one typed event per dispatch arm, victim pid in the payload —
   /// emitted after the repair steps so a reader that sees the event also
   /// sees the repaired stripe state.
-  void emit_recovery(obs::ShmEventKind kind, Pid exec, Pid victim,
+  void emit_recovery(obs::EventKind kind, Pid exec, Pid victim,
                      std::uint32_t slot, std::uint32_t instance) {
     if (obs::ShmMetrics* shm = journal_.shm()) {
       shm->on_recovery_arm(kind, journal_.stripe(), exec, victim, slot,
@@ -416,7 +416,7 @@ class ShmStripeLockT : private ShmLongLivedLock {
 
   /// Close a repaired passage: the ordinary Cleanup, an idle slot, and the
   /// arm's event.
-  RecoveryAction settle(Pid exec, Pid victim, obs::ShmEventKind kind,
+  RecoveryAction settle(Pid exec, Pid victim, obs::EventKind kind,
                         std::uint32_t slot, std::uint32_t inst,
                         RecoveryAction action) {
     recovered_cleanup(exec, victim);

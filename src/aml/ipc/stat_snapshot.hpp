@@ -191,21 +191,21 @@ inline void write_stat_json(std::ostream& os, ShmNamedLockTable& table,
 
   // --- ring tail: newest merged events; `seq` counts within the pid's ring
   std::uint64_t torn = 0;
-  const std::vector<obs::ShmEvent> events = shm.ring_snapshot(&torn);
+  const std::vector<obs::Event> events = shm.ring_snapshot(&torn);
   os << ",\"ring\":{\"total\":" << shm.ring_total()
      << ",\"dropped\":" << shm.ring_dropped() << ",\"torn\":" << torn
      << ",\"tail\":[";
   const std::size_t tail =
       events.size() > opt.ring_tail ? events.size() - opt.ring_tail : 0;
   for (std::size_t i = tail; i < events.size(); ++i) {
-    const obs::ShmEvent& e = events[i];
+    const obs::Event& e = events[i];
     if (i != tail) os << ",";
     os << "{\"seq\":" << e.seq << ",\"kind\":\""
-       << obs::shm_event_kind_name(e.kind) << "\",\"stripe\":" << e.stripe
+       << obs::event_kind_name(e.kind) << "\",\"stripe\":" << e.stripe
        << ",\"pid\":" << e.pid;
-    if (e.victim != obs::ShmEvent::kNoPid) os << ",\"victim\":" << e.victim;
+    if (e.victim != obs::Event::kNoPid) os << ",\"victim\":" << e.victim;
     if (e.slot != obs::kNoSlot) os << ",\"slot\":" << e.slot;
-    os << ",\"instance\":" << e.instance << ",\"t_ns\":" << e.mono_ns
+    os << ",\"instance\":" << e.instance << ",\"t_ns\":" << e.ts
        << ",\"writer_os_pid\":" << e.writer_os_pid << "}";
   }
   os << "]}";

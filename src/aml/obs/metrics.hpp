@@ -12,11 +12,12 @@
 //
 //   * Metrics — per-process cache-padded counters (acquisitions, aborts,
 //     spin iterations, FindNext ascents, instance switches, spin-node
-//     recycles), an optional fixed-size event ring (see events.hpp), and a
-//     hand-off latency histogram (see histogram.hpp). Timestamps come from
-//     an internal logical event clock by default — deterministic under the
-//     step scheduler — or from a caller-installed clock (e.g. pal-level TSC
-//     on native hardware).
+//     recycles), optional per-pid event rings (see events.hpp; the same
+//     rings ShmMetrics places in the segment), and a hand-off latency
+//     histogram (see histogram.hpp). Timestamps come from an internal
+//     logical event clock by default — deterministic under the step
+//     scheduler — or from a caller-installed clock (e.g. pal-level TSC on
+//     native hardware).
 //
 // A lock is instrumented by instantiating it with the Metrics sink type and
 // binding a sink instance:
@@ -25,12 +26,13 @@
 //   aml::core::OneShotLock<Model, aml::obs::Metrics> lock(model, n, w);
 //   lock.set_metrics(&metrics);
 //   ... run ...
-//   metrics.totals().acquisitions; metrics.ring().snapshot(); ...
+//   metrics.totals().acquisitions; metrics.ring_snapshot(); ...
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -79,15 +81,23 @@ struct ContentionRollup {
   double abort_rate = 0.0;  ///< aborts / (acquisitions + aborts); 0 if idle
 };
 
-/// The enabled sink.
+/// The enabled sink. Each pid has one writer (the thread acting as it), so
+/// its counters and its event ring take plain owner stores.
 class Metrics {
  public:
   static constexpr bool kEnabled = true;
 
   /// `ring_capacity` 0 disables event recording (counters and the hand-off
-  /// histogram stay active).
+  /// histogram stay active); otherwise each pid's ring keeps its newest
+  /// ceil(ring_capacity / nprocs) events.
   explicit Metrics(Pid nprocs, std::size_t ring_capacity = 0)
-      : counters_(nprocs), ring_(ring_capacity) {}
+      : pids_(nprocs),
+        ring_per_pid_(obs::ring_slots_per_pid(nprocs, ring_capacity)) {
+    if (ring_per_pid_ == 0) return;
+    for (auto& cell : pids_) {
+      cell->ring = std::make_unique<EventSlot[]>(ring_per_pid_);
+    }
+  }
 
   Metrics(const Metrics&) = delete;
   Metrics& operator=(const Metrics&) = delete;
@@ -99,7 +109,7 @@ class Metrics {
   }
 
   void on_granted(Pid p, std::uint32_t slot) {
-    counters_[p]->acquisitions++;
+    pids_[p]->counters.acquisitions++;
     const std::uint64_t t = emit(EventKind::kGranted, p, slot);
     const std::uint64_t handed =
         pending_handoff_.exchange(0, std::memory_order_acq_rel);
@@ -107,7 +117,7 @@ class Metrics {
   }
 
   void on_abort(Pid p, std::uint32_t slot) {
-    counters_[p]->aborts++;
+    pids_[p]->counters.aborts++;
     emit(EventKind::kAbort, p, slot);
   }
 
@@ -117,30 +127,52 @@ class Metrics {
   }
 
   void on_switch(Pid p) {
-    counters_[p]->instance_switches++;
+    pids_[p]->counters.instance_switches++;
     emit(EventKind::kSwitch, p, kNoSlot);
   }
 
-  void on_spin_iteration(Pid p) { counters_[p]->spin_iterations++; }
+  void on_spin_iteration(Pid p) { pids_[p]->counters.spin_iterations++; }
 
-  void on_findnext(Pid p) { counters_[p]->findnext_ascents++; }
+  void on_findnext(Pid p) { pids_[p]->counters.findnext_ascents++; }
 
   void on_spin_node_recycle(Pid p, std::uint64_t nodes) {
-    counters_[p]->spin_node_recycles += nodes;
+    pids_[p]->counters.spin_node_recycles += nodes;
   }
 
   // --- inspection --------------------------------------------------------
 
-  Pid nprocs() const { return static_cast<Pid>(counters_.size()); }
-  const Counters& of(Pid p) const { return *counters_[p]; }
+  Pid nprocs() const { return static_cast<Pid>(pids_.size()); }
+  const Counters& of(Pid p) const { return pids_[p]->counters; }
 
   Counters totals() const {
     Counters total;
-    for (const auto& c : counters_) total += *c;
+    for (const auto& cell : pids_) total += cell->counters;
     return total;
   }
 
-  const EventRing& ring() const { return ring_; }
+  /// Slots in each pid's ring (0 = recording disabled).
+  std::uint32_t ring_slots_per_pid() const { return ring_per_pid_; }
+
+  /// Every pid's retained, fully published events merged oldest first by
+  /// timestamp; torn or in-flight slots are skipped and counted into `torn`.
+  std::vector<Event> ring_snapshot(std::uint64_t* torn = nullptr) const {
+    return merge_rings(nprocs(), [this](Pid p) { return ring(p); }, torn);
+  }
+
+  /// Events offered to the rings, overwritten ones included.
+  std::uint64_t ring_total() const {
+    std::uint64_t sum = 0;
+    for (Pid p = 0; p < nprocs(); ++p) sum += ring(p).total();
+    return sum;
+  }
+
+  /// Events the rings no longer retain.
+  std::uint64_t ring_dropped() const {
+    std::uint64_t sum = 0;
+    for (Pid p = 0; p < nprocs(); ++p) sum += ring(p).dropped();
+    return sum;
+  }
+
   const LatencyHistogram& handoff() const { return handoff_; }
 
   /// Totals + hand-off percentiles + abort rate in one call (consistent once
@@ -170,27 +202,46 @@ class Metrics {
   }
 
   void reset() {
-    for (auto& c : counters_) *c = Counters{};
+    for (auto& cell : pids_) cell->counters = Counters{};
     handoff_.reset();
     pending_handoff_.store(0, std::memory_order_relaxed);
-    // The ring keeps its history; logical time keeps advancing so ticks
+    // The rings keep their history; logical time keeps advancing so ticks
     // stay unique across reset boundaries.
   }
 
  private:
+  /// One pid's state: its counters and its ring, on lines of its own.
+  struct PidCell {
+    Counters counters;
+    mutable std::atomic<std::uint64_t> ring_head{0};  ///< owner-stored
+    std::unique_ptr<EventSlot[]> ring;
+  };
+
   std::uint64_t now() {
     if (clock_) return clock_();
     return logical_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
+  PidRing ring(Pid p) const {
+    const PidCell& cell = *pids_[p];
+    return PidRing(cell.ring_head, cell.ring.get(), ring_per_pid_);
+  }
+
   std::uint64_t emit(EventKind kind, Pid p, std::uint32_t slot) {
     const std::uint64_t t = now();
-    ring_.push(Event{kind, p, slot, t});
+    if (ring_per_pid_ != 0) {
+      Event e;
+      e.kind = kind;
+      e.pid = p;
+      e.slot = slot;
+      e.ts = t;
+      ring(p).push(e);
+    }
     return t;
   }
 
-  std::vector<pal::CachePadded<Counters>> counters_;
-  EventRing ring_;
+  std::vector<pal::CachePadded<PidCell>> pids_;
+  std::uint32_t ring_per_pid_;
   LatencyHistogram handoff_;
   std::atomic<std::uint64_t> pending_handoff_{0};
   std::atomic<std::uint64_t> logical_{0};

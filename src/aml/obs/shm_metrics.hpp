@@ -21,19 +21,18 @@
 // a time: its leaseholder, or the survivor holding its recovery claim (a
 // recoverer acts under its own leased pid, so its events land in its own
 // ring). Owned cells therefore take plain load/store bumps, not fetch_adds.
-// A ring push stores the pid's own head, then fills the slot under the same
-// claim-odd/publish-even tag protocol as the process-local EventRing
-// (events.hpp), so torn slots are detected, never returned. Readers merge
-// the per-pid rings by timestamp: CLOCK_MONOTONIC, comparable across
-// processes on the same host, so the merged stream renders on one Perfetto
-// timeline (trace_export.hpp).
+// The rings are events.hpp's per-pid rings (the same PidRing push and read
+// the process-local Metrics runs), laid over arena bytes with each pid's
+// head in its counter cell, so torn slots are detected, never returned.
+// Readers merge the per-pid rings by timestamp: CLOCK_MONOTONIC, comparable
+// across processes on the same host, so the merged stream renders on one
+// Perfetto timeline (trace_export.hpp).
 //
 // Everything placed in the segment is AML_SHM_REGION-safe: flat atomics,
 // no pointers, zero-filled pages are the valid initial state (no creator
 // stores needed, so the attach replay is naturally storeless).
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -46,74 +45,10 @@
 #include "aml/model/types.hpp"
 #include "aml/obs/events.hpp"
 #include "aml/obs/histogram.hpp"
+#include "aml/obs/metrics.hpp"
 #include "aml/pal/cache.hpp"
 
 namespace aml::obs {
-
-/// Event kinds in the shm ring: the process-local lifecycle kinds plus the
-/// typed recovery-dispatch arms a survivor executes on a victim's behalf.
-enum class ShmEventKind : std::uint8_t {
-  kEnter = 1,        ///< doorway passed
-  kGranted,          ///< critical section entered
-  kAbort,            ///< attempt abandoned by its owner
-  kExit,             ///< critical section released by its owner
-  kSwitch,           ///< stripe installed a fresh one-shot instance
-  kForcedExit,       ///< recovery: victim held (or was re-signalled mid-exit
-                     ///  redo); survivor exited on its behalf
-  kCompleteGrant,    ///< recovery: victim died in the doorway already
-                     ///  granted; survivor completed the grant then exited
-  kAbortOnBehalf,    ///< recovery: victim died waiting; survivor aborted
-                     ///  its attempt
-  kResignal,         ///< recovery: victim died mid-exit after the hand-off;
-                     ///  survivor re-signalled the successor
-  kZombieRetire,     ///< recovery: journal window ambiguous; pid retired
-  kFaCompleted,      ///< recovery: victim's announced LockDesc F&A found
-                     ///  landed; survivor completed the passage forward
-  kFaCompensated,    ///< recovery: announced F&A never landed (or was never
-                     ///  issued); survivor compensated / redid it itself
-  kReentry,          ///< a restarted process resumed its own prior passage
-                     ///  via reattach_session
-  kZombieReclaim,    ///< a retired zombie pid reclaimed after a
-                     ///  full-quiescence epoch
-};
-
-inline const char* shm_event_kind_name(ShmEventKind kind) {
-  switch (kind) {
-    case ShmEventKind::kEnter: return "enter";
-    case ShmEventKind::kGranted: return "granted";
-    case ShmEventKind::kAbort: return "abort";
-    case ShmEventKind::kExit: return "exit";
-    case ShmEventKind::kSwitch: return "switch";
-    case ShmEventKind::kForcedExit: return "forced-exit";
-    case ShmEventKind::kCompleteGrant: return "complete-grant";
-    case ShmEventKind::kAbortOnBehalf: return "forced-abort";
-    case ShmEventKind::kResignal: return "resignal";
-    case ShmEventKind::kZombieRetire: return "zombie-retire";
-    case ShmEventKind::kFaCompleted: return "fa-completed";
-    case ShmEventKind::kFaCompensated: return "fa-compensated";
-    case ShmEventKind::kReentry: return "re-entry";
-    case ShmEventKind::kZombieReclaim: return "zombie-reclaimed";
-  }
-  return "?";
-}
-
-/// True for the kinds a recovery sweep emits on a victim's behalf.
-inline bool shm_event_is_recovery(ShmEventKind kind) {
-  switch (kind) {
-    case ShmEventKind::kForcedExit:
-    case ShmEventKind::kCompleteGrant:
-    case ShmEventKind::kAbortOnBehalf:
-    case ShmEventKind::kResignal:
-    case ShmEventKind::kZombieRetire:
-    case ShmEventKind::kFaCompleted:
-    case ShmEventKind::kFaCompensated:
-    case ShmEventKind::kReentry:
-    case ShmEventKind::kZombieReclaim:
-      return true;
-    default:
-      return false;
-  }
-}
 
 // AML_SHM_REGION_BEGIN
 /// Per-pid counter cell plus the head of that pid's event ring. Written
@@ -130,19 +65,6 @@ struct alignas(pal::kCacheLine) ShmCounterCell {
   std::atomic<std::uint64_t> last_ns;  ///< stamp of its last event; 0 = none
 };
 static_assert(sizeof(ShmCounterCell) == pal::kCacheLine);
-
-/// One shm ring slot: claim-odd/publish-even tag plus the payload packed
-/// into atomic words (see events.hpp for the tag protocol; this is its
-/// cross-process twin). Unpadded: a ring has one writer at a time, so
-/// neighbouring slots never see two writers; each pid's ring starts on its
-/// own cache line.
-struct ShmEventSlot {
-  std::atomic<std::uint64_t> tag;      ///< 0 never-used; odd claimed; even published
-  std::atomic<std::uint64_t> meta;     ///< kind | stripe | pid | victim
-  std::atomic<std::uint64_t> detail;   ///< slot | instance
-  std::atomic<std::uint64_t> mono_ns;  ///< CLOCK_MONOTONIC at emit
-  std::atomic<std::uint64_t> writer;   ///< OS pid of the emitting process
-};
 
 /// Single padded shared word (a stripe's pending hand-off timestamp).
 struct alignas(pal::kCacheLine) ShmWordCell {
@@ -171,28 +93,9 @@ struct alignas(pal::kCacheLine) ShmRecoveryCell {
 };
 // AML_SHM_REGION_END
 AML_SHM_PLACEABLE(ShmCounterCell);
-AML_SHM_PLACEABLE(ShmEventSlot);
 AML_SHM_PLACEABLE(ShmWordCell);
 AML_SHM_PLACEABLE(ShmHistogramCell);
 AML_SHM_PLACEABLE(ShmRecoveryCell);
-
-/// A decoded shm ring event (process-local view; never placed in the
-/// segment).
-struct ShmEvent {
-  ShmEventKind kind = ShmEventKind::kEnter;
-  std::uint32_t stripe = 0;
-  model::Pid pid = 0;          ///< acting pid (the victim's for lifecycle
-                               ///  kinds, the *executor's* for recovery);
-                               ///  also the ring the event was read from
-  model::Pid victim = kNoPid;  ///< victim pid for recovery kinds
-  std::uint32_t slot = kNoSlot;
-  std::uint32_t instance = 0;  ///< one-shot generation within the stripe
-  std::uint64_t seq = 0;       ///< position in `pid`'s own ring
-  std::uint64_t mono_ns = 0;
-  std::uint64_t writer_os_pid = 0;
-
-  static constexpr model::Pid kNoPid = 0xFFFF;
-};
 
 struct ShmHistogramSnapshot {
   std::uint64_t count = 0;
@@ -228,7 +131,7 @@ class ShmMetrics {
       : nprocs_(nprocs),
         stripes_(stripes),
         ring_capacity_(ring_capacity),
-        ring_per_pid_(per_pid_slots(nprocs, ring_capacity)),
+        ring_per_pid_(obs::ring_slots_per_pid(nprocs, ring_capacity)),
         ring_stride_(ring_stride_bytes(ring_per_pid_)),
         counters_(arena.alloc_array<ShmCounterCell>(nprocs)),
         pending_handoff_(arena.alloc_array<ShmWordCell>(stripes)),
@@ -253,7 +156,8 @@ class ShmMetrics {
     b += n * sizeof(ShmCounterCell);
     b += static_cast<std::uint64_t>(stripes) * sizeof(ShmWordCell);
     b += static_cast<std::uint64_t>(stripes) * sizeof(ShmRecoveryCell);
-    b += n * ring_stride_bytes(per_pid_slots(nprocs, ring_capacity));
+    b += n * ring_stride_bytes(
+                 obs::ring_slots_per_pid(nprocs, ring_capacity));
     b += (n + 1) * sizeof(ShmHistogramCell);
     b += 8 * pal::kCacheLine;  // alignment slop between allocations
     return b;
@@ -278,14 +182,14 @@ class ShmMetrics {
 
   void on_enter(std::uint32_t stripe, model::Pid p, std::uint32_t slot,
                 std::uint32_t instance) {
-    emit(ShmEventKind::kEnter, stripe, p, ShmEvent::kNoPid, slot, instance);
+    emit(EventKind::kEnter, stripe, p, Event::kNoPid, slot, instance);
   }
 
   void on_granted(std::uint32_t stripe, model::Pid p, std::uint32_t slot,
                   std::uint32_t instance) {
     bump(counters_[p].acquisitions);
     const std::uint64_t t = now_ns();
-    emit_at(ShmEventKind::kGranted, stripe, p, ShmEvent::kNoPid, slot,
+    emit_at(EventKind::kGranted, stripe, p, Event::kNoPid, slot,
             instance, t);
     // Hand-off latency: the previous holder parked its exit timestamp in
     // the stripe's pending word; one exchange claims it. The word is only
@@ -300,20 +204,20 @@ class ShmMetrics {
   void on_abort(std::uint32_t stripe, model::Pid p, std::uint32_t slot,
                 std::uint32_t instance) {
     bump(counters_[p].aborts);
-    emit(ShmEventKind::kAbort, stripe, p, ShmEvent::kNoPid, slot, instance);
+    emit(EventKind::kAbort, stripe, p, Event::kNoPid, slot, instance);
   }
 
   void on_exit(std::uint32_t stripe, model::Pid p, std::uint32_t slot,
                std::uint32_t instance) {
     const std::uint64_t t = now_ns();
-    emit_at(ShmEventKind::kExit, stripe, p, ShmEvent::kNoPid, slot, instance,
+    emit_at(EventKind::kExit, stripe, p, Event::kNoPid, slot, instance,
             t);
     pending_handoff_[stripe].value.store(t, std::memory_order_release);
   }
 
   void on_switch(std::uint32_t stripe, model::Pid p, std::uint32_t instance) {
     bump(counters_[p].instance_switches);
-    emit(ShmEventKind::kSwitch, stripe, p, ShmEvent::kNoPid, kNoSlot,
+    emit(EventKind::kSwitch, stripe, p, Event::kNoPid, kNoSlot,
          instance);
   }
 
@@ -328,30 +232,30 @@ class ShmMetrics {
 
   /// One typed event per dispatch arm, victim pid in the payload, plus the
   /// per-stripe dispatch counter. `kind` must be a recovery kind.
-  void on_recovery_arm(ShmEventKind kind, std::uint32_t stripe,
+  void on_recovery_arm(EventKind kind, std::uint32_t stripe,
                        model::Pid exec, model::Pid victim, std::uint32_t slot,
                        std::uint32_t instance) {
     ShmRecoveryCell& c = recovery_[stripe];
     switch (kind) {
-      case ShmEventKind::kForcedExit:
+      case EventKind::kForcedExit:
         c.forced_exits.fetch_add(1, std::memory_order_relaxed);
         break;
-      case ShmEventKind::kCompleteGrant:
+      case EventKind::kCompleteGrant:
         c.complete_grants.fetch_add(1, std::memory_order_relaxed);
         break;
-      case ShmEventKind::kAbortOnBehalf:
+      case EventKind::kAbortOnBehalf:
         c.aborts_on_behalf.fetch_add(1, std::memory_order_relaxed);
         break;
-      case ShmEventKind::kResignal:
+      case EventKind::kResignal:
         c.resignals.fetch_add(1, std::memory_order_relaxed);
         break;
-      case ShmEventKind::kZombieRetire:
+      case EventKind::kZombieRetire:
         c.zombie_retires.fetch_add(1, std::memory_order_relaxed);
         break;
-      case ShmEventKind::kFaCompleted:
+      case EventKind::kFaCompleted:
         c.fa_completed.fetch_add(1, std::memory_order_relaxed);
         break;
-      case ShmEventKind::kFaCompensated:
+      case EventKind::kFaCompensated:
         c.fa_compensated.fetch_add(1, std::memory_order_relaxed);
         break;
       default:
@@ -364,12 +268,12 @@ class ShmMetrics {
   /// passage via reattach_session. Not stripe-scoped: stripe carries the
   /// kNoStripe sentinel.
   void on_reentry(model::Pid p) {
-    emit(ShmEventKind::kReentry, kNoStripe, p, p, kNoSlot, 0);
+    emit(EventKind::kReentry, kNoStripe, p, p, kNoSlot, 0);
   }
 
   /// A retired zombie pid was reclaimed after a full-quiescence epoch.
   void on_zombie_reclaimed(model::Pid exec, model::Pid reclaimed) {
-    emit(ShmEventKind::kZombieReclaim, kNoStripe, exec, reclaimed, kNoSlot, 0);
+    emit(EventKind::kZombieReclaim, kNoStripe, exec, reclaimed, kNoSlot, 0);
   }
 
   /// Stripe sentinel for events that describe a whole-service transition
@@ -389,14 +293,8 @@ class ShmMetrics {
 
   // --- readers (valid from any attached process, including read-only) ---
 
-  struct Totals {
-    std::uint64_t acquisitions = 0;
-    std::uint64_t aborts = 0;
-    std::uint64_t spin_iterations = 0;
-    std::uint64_t findnext_ascents = 0;
-    std::uint64_t instance_switches = 0;
-    std::uint64_t spin_node_recycles = 0;
-  };
+  /// The same per-pid counter set as the in-process sink's.
+  using Totals = Counters;
 
   Totals pid_counters(model::Pid p) const {
     const ShmCounterCell& c = counters_[p];
@@ -425,15 +323,7 @@ class ShmMetrics {
 
   Totals totals() const {
     Totals sum;
-    for (model::Pid p = 0; p < nprocs_; ++p) {
-      const Totals t = pid_counters(p);
-      sum.acquisitions += t.acquisitions;
-      sum.aborts += t.aborts;
-      sum.spin_iterations += t.spin_iterations;
-      sum.findnext_ascents += t.findnext_ascents;
-      sum.instance_switches += t.instance_switches;
-      sum.spin_node_recycles += t.spin_node_recycles;
-    }
+    for (model::Pid p = 0; p < nprocs_; ++p) sum += pid_counters(p);
     return sum;
   }
 
@@ -474,15 +364,10 @@ class ShmMetrics {
   }
 
   /// Events pid `p` has emitted (its ring head).
-  std::uint64_t ring_total(model::Pid p) const {
-    return counters_[p].ring_head.load(std::memory_order_relaxed);
-  }
+  std::uint64_t ring_total(model::Pid p) const { return ring(p).total(); }
 
   /// Events pid `p` emitted that its ring no longer retains.
-  std::uint64_t ring_dropped(model::Pid p) const {
-    const std::uint64_t total = ring_total(p);
-    return total > ring_per_pid_ ? total - ring_per_pid_ : 0;
-  }
+  std::uint64_t ring_dropped(model::Pid p) const { return ring(p).dropped(); }
 
   std::uint64_t ring_total() const {
     std::uint64_t sum = 0;
@@ -496,52 +381,19 @@ class ShmMetrics {
     return sum;
   }
 
-  /// Retained, fully-published events of every pid's ring, merged oldest
+  /// Retained, fully published events of every pid's ring, merged oldest
   /// first by timestamp (ties keep pid, then ring, order); torn/in-flight
-  /// slots are skipped (and counted into `torn`) exactly as in
-  /// EventRing::snapshot().
-  std::vector<ShmEvent> ring_snapshot(std::uint64_t* torn = nullptr) const {
-    std::vector<ShmEvent> out;
-    std::uint64_t skipped = 0;
-    for (model::Pid p = 0; p < nprocs_; ++p) {
-      const std::uint64_t total = ring_total(p);
-      const std::uint64_t kept = std::min<std::uint64_t>(total, ring_per_pid_);
-      for (std::uint64_t seq = total - kept; seq < total; ++seq) {
-        ShmEvent e;
-        if (read_published(p, seq, &e)) {
-          out.push_back(e);
-        } else {
-          ++skipped;
-        }
-      }
-    }
-    std::stable_sort(out.begin(), out.end(),
-                     [](const ShmEvent& a, const ShmEvent& b) {
-                       return a.mono_ns < b.mono_ns;
-                     });
-    if (torn != nullptr) *torn = skipped;
-    return out;
+  /// slots are skipped and counted into `torn`.
+  std::vector<Event> ring_snapshot(std::uint64_t* torn = nullptr) const {
+    return merge_rings(nprocs_, [this](model::Pid p) { return ring(p); },
+                       torn);
   }
 
  private:
-  static std::uint64_t claim_tag(std::uint64_t seq) { return 2 * seq + 1; }
-  static std::uint64_t publish_tag(std::uint64_t seq) { return 2 * seq + 2; }
-
-  static std::uint32_t per_pid_slots(model::Pid nprocs,
-                                     std::uint32_t ring_capacity) {
-    return nprocs == 0 ? 0 : (ring_capacity + nprocs - 1) / nprocs;
-  }
-
-  /// Bytes between consecutive pids' rings: whole cache lines, so no two
-  /// writers share one.
-  static std::uint64_t ring_stride_bytes(std::uint32_t slots) {
-    const std::uint64_t bytes =
-        static_cast<std::uint64_t>(slots) * sizeof(ShmEventSlot);
-    return (bytes + pal::kCacheLine - 1) & ~std::uint64_t{pal::kCacheLine - 1};
-  }
-
-  ShmEventSlot* ring_of(model::Pid p) const {
-    return reinterpret_cast<ShmEventSlot*>(rings_ + p * ring_stride_);
+  PidRing ring(model::Pid p) const {
+    return PidRing(counters_[p].ring_head,
+                   reinterpret_cast<EventSlot*>(rings_ + p * ring_stride_),
+                   ring_per_pid_);
   }
 
   /// Single-writer increment: the cell's owner is its only writer, so a
@@ -550,67 +402,20 @@ class ShmMetrics {
     w.store(w.load(std::memory_order_relaxed) + n, std::memory_order_relaxed);
   }
 
-  /// meta: kind(8) | stripe(16) | pid(16) | victim(16); low 8 reserved.
-  static std::uint64_t pack_meta(ShmEventKind kind, std::uint32_t stripe,
-                                 model::Pid pid, model::Pid victim) {
-    return (static_cast<std::uint64_t>(kind) << 56) |
-           (static_cast<std::uint64_t>(stripe & 0xFFFFu) << 40) |
-           (static_cast<std::uint64_t>(pid & 0xFFFFu) << 24) |
-           (static_cast<std::uint64_t>(victim & 0xFFFFu) << 8);
-  }
-
-  static std::uint64_t pack_detail(std::uint32_t slot,
-                                   std::uint32_t instance) {
-    return (static_cast<std::uint64_t>(slot) << 32) |
-           static_cast<std::uint64_t>(instance);
-  }
-
-  void emit(ShmEventKind kind, std::uint32_t stripe, model::Pid pid,
+  void emit(EventKind kind, std::uint32_t stripe, model::Pid pid,
             model::Pid victim, std::uint32_t slot, std::uint32_t instance) {
     emit_at(kind, stripe, pid, victim, slot, instance, now_ns());
   }
 
-  /// Stamp `pid`'s last_ns, then push into its own ring: advance its head
-  /// (plain stores — the owner is the only writer), then relaxed stores
-  /// into the claimed slot (claim odd, payload, publish even). A writer
-  /// that dies in between leaves one torn slot; its next owner skips it.
-  void emit_at(ShmEventKind kind, std::uint32_t stripe, model::Pid pid,
+  /// Stamp `pid`'s last_ns, then push into its own ring (a writer that
+  /// dies mid-push leaves one torn slot; its next owner skips it).
+  void emit_at(EventKind kind, std::uint32_t stripe, model::Pid pid,
                model::Pid victim, std::uint32_t slot, std::uint32_t instance,
                std::uint64_t t) {
     counters_[pid].last_ns.store(t, std::memory_order_relaxed);
     if (ring_per_pid_ == 0) return;
-    std::atomic<std::uint64_t>& head = counters_[pid].ring_head;
-    const std::uint64_t seq = head.load(std::memory_order_relaxed);
-    head.store(seq + 1, std::memory_order_relaxed);
-    ShmEventSlot& s = ring_of(pid)[seq % ring_per_pid_];
-    s.tag.store(claim_tag(seq), std::memory_order_relaxed);
-    s.meta.store(pack_meta(kind, stripe, pid, victim),
-                 std::memory_order_relaxed);
-    s.detail.store(pack_detail(slot, instance), std::memory_order_relaxed);
-    s.mono_ns.store(t, std::memory_order_relaxed);
-    s.writer.store(self_os_pid_, std::memory_order_relaxed);
-    s.tag.store(publish_tag(seq), std::memory_order_release);
-  }
-
-  bool read_published(model::Pid p, std::uint64_t seq, ShmEvent* out) const {
-    const ShmEventSlot& s = ring_of(p)[seq % ring_per_pid_];
-    const std::uint64_t want = publish_tag(seq);
-    if (s.tag.load(std::memory_order_acquire) != want) return false;
-    const std::uint64_t meta = s.meta.load(std::memory_order_relaxed);
-    const std::uint64_t detail = s.detail.load(std::memory_order_relaxed);
-    const std::uint64_t mono = s.mono_ns.load(std::memory_order_relaxed);
-    const std::uint64_t writer = s.writer.load(std::memory_order_relaxed);
-    if (s.tag.load(std::memory_order_acquire) != want) return false;
-    out->kind = static_cast<ShmEventKind>(meta >> 56);
-    out->stripe = static_cast<std::uint32_t>((meta >> 40) & 0xFFFFu);
-    out->pid = static_cast<model::Pid>((meta >> 24) & 0xFFFFu);
-    out->victim = static_cast<model::Pid>((meta >> 8) & 0xFFFFu);
-    out->slot = static_cast<std::uint32_t>(detail >> 32);
-    out->instance = static_cast<std::uint32_t>(detail);
-    out->seq = seq;
-    out->mono_ns = mono;
-    out->writer_os_pid = writer;
-    return true;
+    ring(pid).push(Event{kind, stripe, pid, victim, slot, instance, 0, t,
+                         self_os_pid_});
   }
 
   static void record_owned(ShmHistogramCell& h, std::uint64_t v) {

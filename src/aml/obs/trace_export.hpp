@@ -1,5 +1,5 @@
-// Passage tracer: assembles per-passage spans from the shm event stream
-// (the per-pid rings merged by timestamp) and emits them as Chrome trace
+// Passage tracer: assembles per-passage spans from an event stream (either
+// sink's per-pid rings merged by timestamp) and emits them as Chrome trace
 // event JSON, so a whole crash-and-recover episode — the victim's doorway,
 // its grant, the moment it died, and the survivor's forced close — renders
 // on one Perfetto timeline.
@@ -16,8 +16,9 @@
 // tid = lock pid. Spans are "X" complete events (doorway and cs nest);
 // recovery arms and instance switches are additionally instant events on
 // the executing pid's track. Timestamps are microseconds relative to the
-// first event, from the ring's CLOCK_MONOTONIC stamps (one timebase per
-// host, so cross-process spans line up).
+// first event, reading each event's `ts` as ns: the shm ring's
+// CLOCK_MONOTONIC stamps (one timebase per host, so cross-process spans line
+// up), or whatever clock an in-process Metrics sink was given.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +27,7 @@
 #include <vector>
 
 #include "aml/model/types.hpp"
-#include "aml/obs/shm_metrics.hpp"
+#include "aml/obs/events.hpp"
 
 namespace aml::obs {
 
@@ -42,8 +43,8 @@ struct PassageSpan {
   bool granted = false;
   bool closed = false;
   bool forced = false;           ///< closed by a survivor's recovery arm
-  ShmEventKind close_kind = ShmEventKind::kEnter;  ///< terminal event kind
-  model::Pid recovered_by = ShmEvent::kNoPid;      ///< executor, when forced
+  EventKind close_kind = EventKind::kEnter;  ///< terminal event kind
+  model::Pid recovered_by = Event::kNoPid;   ///< executor, when forced
 };
 
 /// Fold the event stream into spans. Events must be in time order (as
@@ -51,23 +52,23 @@ struct PassageSpan {
 /// terminal whose opening event was overwritten still yields a (partial)
 /// span rather than being dropped, so the tail of a long run stays useful.
 inline std::vector<PassageSpan> assemble_passage_spans(
-    const std::vector<ShmEvent>& events) {
+    const std::vector<Event>& events) {
   std::vector<PassageSpan> spans;
   std::unordered_map<model::Pid, std::size_t> open;  // pid -> span index
 
-  const auto open_span = [&](const ShmEvent& e, model::Pid pid) {
+  const auto open_span = [&](const Event& e, model::Pid pid) {
     PassageSpan s;
     s.pid = pid;
     s.stripe = e.stripe;
     s.slot = e.slot;
     s.instance = e.instance;
-    s.begin_ns = e.mono_ns;
+    s.begin_ns = e.ts;
     spans.push_back(s);
     open[pid] = spans.size() - 1;
     return spans.size() - 1;
   };
 
-  const auto close_span = [&](const ShmEvent& e, model::Pid victim,
+  const auto close_span = [&](const Event& e, model::Pid victim,
                               bool forced) {
     auto it = open.find(victim);
     std::size_t idx;
@@ -82,54 +83,54 @@ inline std::vector<PassageSpan> assemble_passage_spans(
       open.erase(it);
     }
     PassageSpan& s = spans[idx];
-    s.end_ns = e.mono_ns;
+    s.end_ns = e.ts;
     s.closed = true;
     s.close_kind = e.kind;
     s.forced = forced;
     if (forced) s.recovered_by = e.pid;
-    if (e.kind == ShmEventKind::kCompleteGrant && !s.granted) {
+    if (e.kind == EventKind::kCompleteGrant && !s.granted) {
       // The survivor completed the victim's grant before exiting on its
       // behalf: the passage *was* granted, at recovery time.
       s.granted = true;
-      s.granted_ns = e.mono_ns;
+      s.granted_ns = e.ts;
     }
     open.erase(victim);
   };
 
-  for (const ShmEvent& e : events) {
+  for (const Event& e : events) {
     switch (e.kind) {
-      case ShmEventKind::kEnter: {
+      case EventKind::kEnter: {
         // A fresh attempt while one is still open means the opener's
         // terminal was lost: leave the stale span unclosed and move on.
         open.erase(e.pid);
         open_span(e, e.pid);
         break;
       }
-      case ShmEventKind::kGranted: {
+      case EventKind::kGranted: {
         auto it = open.find(e.pid);
         const std::size_t idx =
             it != open.end() ? it->second : open_span(e, e.pid);
         spans[idx].granted = true;
-        spans[idx].granted_ns = e.mono_ns;
+        spans[idx].granted_ns = e.ts;
         if (spans[idx].slot == kNoSlot) spans[idx].slot = e.slot;
         break;
       }
-      case ShmEventKind::kAbort:
-      case ShmEventKind::kExit:
+      case EventKind::kAbort:
+      case EventKind::kExit:
         close_span(e, e.pid, /*forced=*/false);
         break;
-      case ShmEventKind::kForcedExit:
-      case ShmEventKind::kCompleteGrant:
-      case ShmEventKind::kAbortOnBehalf:
-      case ShmEventKind::kResignal:
-      case ShmEventKind::kZombieRetire:
-      case ShmEventKind::kFaCompleted:
-      case ShmEventKind::kFaCompensated:
+      case EventKind::kForcedExit:
+      case EventKind::kCompleteGrant:
+      case EventKind::kAbortOnBehalf:
+      case EventKind::kResignal:
+      case EventKind::kZombieRetire:
+      case EventKind::kFaCompleted:
+      case EventKind::kFaCompensated:
         close_span(e, e.victim, /*forced=*/true);
         break;
-      case ShmEventKind::kSwitch:
-      case ShmEventKind::kReentry:
-      case ShmEventKind::kZombieReclaim:
+      case EventKind::kSwitch:
+      case EventKind::kReentry:
+      case EventKind::kZombieReclaim:
         // Instants, not spans: switches are stripe-local blips, re-entry
         // and zombie reclamation are whole-service transitions.
         break;
@@ -151,11 +152,11 @@ inline void write_span_args(std::ostream& os, const PassageSpan& s) {
      << ",\"granted\":" << (s.granted ? "true" : "false")
      << ",\"forced\":" << (s.forced ? "true" : "false");
   if (s.closed) {
-    os << ",\"outcome\":\"" << shm_event_kind_name(s.close_kind) << "\"";
+    os << ",\"outcome\":\"" << event_kind_name(s.close_kind) << "\"";
   } else {
     os << ",\"unclosed\":true";
   }
-  if (s.forced && s.recovered_by != ShmEvent::kNoPid) {
+  if (s.forced && s.recovered_by != Event::kNoPid) {
     os << ",\"recovered_by\":" << s.recovered_by;
   }
   os << "}";
@@ -166,12 +167,12 @@ inline void write_span_args(std::ostream& os, const PassageSpan& s) {
 /// Emit the stream as Chrome trace-event JSON (the {"traceEvents":[...]}
 /// object form Perfetto and chrome://tracing both load).
 inline void write_chrome_trace(std::ostream& os,
-                               const std::vector<ShmEvent>& events) {
+                               const std::vector<Event>& events) {
   std::uint64_t base_ns = ~std::uint64_t{0};
   std::uint64_t last_ns = 0;
-  for (const ShmEvent& e : events) {
-    if (e.mono_ns < base_ns) base_ns = e.mono_ns;
-    if (e.mono_ns > last_ns) last_ns = e.mono_ns;
+  for (const Event& e : events) {
+    if (e.ts < base_ns) base_ns = e.ts;
+    if (e.ts > last_ns) last_ns = e.ts;
   }
   if (events.empty()) base_ns = 0;
 
@@ -219,18 +220,18 @@ inline void write_chrome_trace(std::ostream& os,
     }
   }
 
-  for (const ShmEvent& e : events) {
-    const bool recovery = shm_event_is_recovery(e.kind);
-    if (!recovery && e.kind != ShmEventKind::kSwitch) continue;
+  for (const Event& e : events) {
+    const bool recovery = event_is_recovery(e.kind);
+    if (!recovery && e.kind != EventKind::kSwitch) continue;
     sep();
-    os << "{\"name\":\"" << shm_event_kind_name(e.kind)
+    os << "{\"name\":\"" << event_kind_name(e.kind)
        << "\",\"ph\":\"i\",\"s\":\"t\",\"pid\":" << e.stripe
        << ",\"tid\":" << e.pid
-       << ",\"ts\":" << detail::trace_us(e.mono_ns, base_ns)
+       << ",\"ts\":" << detail::trace_us(e.ts, base_ns)
        << ",\"args\":{";
     if (recovery) {
       os << "\"victim\":" << e.victim << ",\"executor\":" << e.pid
-         << ",\"arm\":\"" << shm_event_kind_name(e.kind) << "\"";
+         << ",\"arm\":\"" << event_kind_name(e.kind) << "\"";
     } else {
       os << "\"instance\":" << e.instance;
     }

@@ -1,15 +1,23 @@
-// The audit component itself, then end-to-end audited executions of the
-// one-shot and long-lived locks.
+// The audit component itself, then end-to-end audits of the one-shot and
+// long-lived locks' own event streams: each lock is instantiated with the
+// obs::Metrics sink, and the auditor reads the sink's merged per-pid rings,
+// so the doorway it checks is the one the lock recorded after its tail F&A.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <deque>
+#include <thread>
+#include <vector>
 
+#include "aml/core/abortable_lock.hpp"
 #include "aml/core/longlived.hpp"
 #include "aml/core/oneshot.hpp"
 #include "aml/harness/audit.hpp"
 #include "aml/harness/workload.hpp"
 #include "aml/model/counting_cc.hpp"
+#include "aml/obs/metrics.hpp"
+#include "aml/pal/rng.hpp"
 #include "aml/sched/scheduler.hpp"
 
 namespace aml::harness {
@@ -17,67 +25,72 @@ namespace {
 
 using model::CountingCcModel;
 using model::Pid;
+using obs::Metrics;
+
+// The synthetic histories drive a sink's hooks by hand, standing in for a
+// lock: on_enter is the doorway, on_granted/on_exit bracket the critical
+// section, on_abort resolves an attempt.
 
 TEST(AuditUnit, CleanHistory) {
-  EventLog log;
-  log.record(0, EventKind::kDoorway, 0);
-  log.record(1, EventKind::kDoorway, 1);
-  log.record(0, EventKind::kAcquire, 0);
-  log.record(0, EventKind::kRelease);
-  log.record(1, EventKind::kAcquire, 1);
-  log.record(1, EventKind::kRelease);
-  const AuditReport r = audit_one_shot(log.events());
+  Metrics log(2, 64);
+  log.on_enter(0, 0);
+  log.on_enter(1, 1);
+  log.on_granted(0, 0);
+  log.on_exit(0, 0);
+  log.on_granted(1, 1);
+  log.on_exit(1, 1);
+  const AuditReport r = audit_one_shot(log.ring_snapshot());
   EXPECT_TRUE(r.clean()) << r.to_string();
   EXPECT_EQ(r.acquires, 2u);
   EXPECT_EQ(r.doorways, 2u);
 }
 
 TEST(AuditUnit, DetectsOverlap) {
-  EventLog log;
-  log.record(0, EventKind::kAcquire, 0);
-  log.record(1, EventKind::kAcquire, 1);  // overlap!
-  log.record(0, EventKind::kRelease);
-  log.record(1, EventKind::kRelease);
-  EXPECT_FALSE(audit_one_shot(log.events()).mutex_ok);
+  Metrics log(2, 64);
+  log.on_granted(0, 0);
+  log.on_granted(1, 1);  // overlap!
+  log.on_exit(0, 0);
+  log.on_exit(1, 1);
+  EXPECT_FALSE(audit_one_shot(log.ring_snapshot()).mutex_ok);
 }
 
 TEST(AuditUnit, DetectsFcfsInversion) {
-  EventLog log;
-  log.record(1, EventKind::kAcquire, 5);
-  log.record(1, EventKind::kRelease);
-  log.record(0, EventKind::kAcquire, 2);  // lower slot after higher
-  log.record(0, EventKind::kRelease);
-  const AuditReport r = audit_one_shot(log.events());
+  Metrics log(2, 64);
+  log.on_granted(1, 5);
+  log.on_exit(1, 5);
+  log.on_granted(0, 2);  // lower slot after higher
+  log.on_exit(0, 2);
+  const AuditReport r = audit_one_shot(log.ring_snapshot());
   EXPECT_TRUE(r.mutex_ok);
   EXPECT_EQ(r.fcfs_inversions, 1u);
 }
 
 TEST(AuditUnit, DetectsLeakedAcquire) {
-  EventLog log;
-  log.record(0, EventKind::kAcquire, 0);
-  EXPECT_FALSE(audit_one_shot(log.events()).conservation_ok);
+  Metrics log(1, 64);
+  log.on_granted(0, 0);
+  EXPECT_FALSE(audit_one_shot(log.ring_snapshot()).conservation_ok);
 }
 
 TEST(AuditUnit, DetectsForeignRelease) {
-  EventLog log;
-  log.record(0, EventKind::kAcquire, 0);
-  log.record(1, EventKind::kRelease);  // not the holder
-  EXPECT_FALSE(audit_one_shot(log.events()).conservation_ok);
+  Metrics log(2, 64);
+  log.on_granted(0, 0);
+  log.on_exit(1, 0);  // not the holder
+  EXPECT_FALSE(audit_one_shot(log.ring_snapshot()).conservation_ok);
 }
 
 TEST(AuditUnit, DetectsStarvedAttempt) {
-  EventLog log;
-  log.record(0, EventKind::kDoorway, 0);
-  log.record(1, EventKind::kDoorway, 1);  // p1 never acquires nor aborts
-  log.record(0, EventKind::kAcquire, 0);
-  log.record(0, EventKind::kRelease);
-  const AuditReport r = audit_one_shot(log.events());
+  Metrics log(2, 64);
+  log.on_enter(0, 0);
+  log.on_enter(1, 1);  // p1 never acquires nor aborts
+  log.on_granted(0, 0);
+  log.on_exit(0, 0);
+  const AuditReport r = audit_one_shot(log.ring_snapshot());
   EXPECT_FALSE(r.starvation_ok) << r.to_string();
   EXPECT_EQ(r.unresolved_attempts, 1u);
   EXPECT_FALSE(r.clean());
   // Resolving the attempt (even by abort) clears the finding.
-  log.record(1, EventKind::kAbort);
-  const AuditReport resolved = audit_one_shot(log.events());
+  log.on_abort(1, 1);
+  const AuditReport resolved = audit_one_shot(log.ring_snapshot());
   EXPECT_TRUE(resolved.starvation_ok) << resolved.to_string();
   EXPECT_EQ(resolved.unresolved_attempts, 0u);
 }
@@ -85,20 +98,29 @@ TEST(AuditUnit, DetectsStarvedAttempt) {
 TEST(AuditUnit, AbortBeforeDoorwayIsNotStarvation) {
   // A long-lived attempt may abort on the spin-node wait, before joining an
   // instance (no doorway event). The balance goes negative, not positive.
-  EventLog log;
-  log.record(0, EventKind::kAbort);
-  const AuditReport r = audit_long_lived(log.events());
+  Metrics log(1, 64);
+  log.on_abort(0, obs::kNoSlot);
+  const AuditReport r = audit_long_lived(log.ring_snapshot());
   EXPECT_TRUE(r.starvation_ok) << r.to_string();
 }
 
 TEST(AuditUnit, DoubleAcquireOnlyFlaggedForOneShot) {
-  EventLog log;
+  Metrics log(1, 64);
   for (int round = 0; round < 2; ++round) {
-    log.record(0, EventKind::kAcquire, 0);
-    log.record(0, EventKind::kRelease);
+    log.on_granted(0, 0);
+    log.on_exit(0, 0);
   }
-  EXPECT_FALSE(audit_one_shot(log.events()).conservation_ok);
-  EXPECT_TRUE(audit_long_lived(log.events()).conservation_ok);
+  EXPECT_FALSE(audit_one_shot(log.ring_snapshot()).conservation_ok);
+  EXPECT_TRUE(audit_long_lived(log.ring_snapshot()).conservation_ok);
+}
+
+/// The sink's stream, checked complete: nothing torn, nothing wrapped away.
+std::vector<obs::Event> whole_stream(const Metrics& sink) {
+  std::uint64_t torn = ~std::uint64_t{0};
+  std::vector<obs::Event> events = sink.ring_snapshot(&torn);
+  EXPECT_EQ(torn, 0u);
+  EXPECT_EQ(sink.ring_dropped(), 0u);
+  return events;
 }
 
 // End-to-end: audited one-shot runs across seeds and abort patterns.
@@ -106,13 +128,14 @@ TEST(AuditedExecution, OneShotHistoriesAreClean) {
   constexpr Pid kN = 24;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     CountingCcModel m(kN);
-    core::OneShotLock<CountingCcModel> lock(m, kN, 4);
+    core::OneShotLock<CountingCcModel, Metrics> lock(m, kN, 4);
+    Metrics sink(kN, /*ring_capacity=*/4 * kN);
+    lock.set_metrics(&sink);
     const auto plans = plan_random_k(kN, 10, seed, AbortWhen::kOnIdle);
     std::deque<std::atomic<bool>> signals(kN);
     // Hold the first critical section behind a gate so the planned aborts
     // all happen while waiting (same device as the harness driver).
     auto* gate = m.alloc(1, 0);
-    EventLog log;
 
     sched::StepScheduler sched(kN, {.seed = seed});
     std::size_t cursor = 0;
@@ -134,21 +157,15 @@ TEST(AuditedExecution, OneShotHistoriesAreClean) {
     });
     m.set_hook(&sched);
     sched.run([&](Pid p) {
-      const auto r = lock.enter(p, &signals[p]);
-      log.record(p, EventKind::kDoorway, r.slot);
-      if (r.acquired) {
-        log.record(p, EventKind::kAcquire, r.slot);
+      if (lock.enter(p, &signals[p]).acquired) {
         m.wait(
             p, *gate, [](std::uint64_t v) { return v != 0; }, nullptr);
-        log.record(p, EventKind::kRelease);
         lock.exit(p);
-      } else {
-        log.record(p, EventKind::kAbort);
       }
     });
     m.set_hook(nullptr);
 
-    const AuditReport report = audit_one_shot(log.events());
+    const AuditReport report = audit_one_shot(whole_stream(sink));
     EXPECT_TRUE(report.clean()) << "seed " << seed << ": "
                                 << report.to_string();
     // Without an ordered doorway a marked process may draw slot 0 and
@@ -163,30 +180,63 @@ TEST(AuditedExecution, OneShotHistoriesAreClean) {
 TEST(AuditedExecution, LongLivedHistoriesConserve) {
   constexpr Pid kN = 6;
   CountingCcModel m(kN);
-  core::LongLivedLock<CountingCcModel> lock(m, {.nprocs = kN, .w = 4});
-  EventLog log;
+  core::LongLivedLock<CountingCcModel, core::VersionedSpace, core::OneShotLock,
+                      Metrics>
+      lock(m, {.nprocs = kN, .w = 4});
+  // Per passage: enter, granted, exit, and at most one switch.
+  Metrics sink(kN, /*ring_capacity=*/4 * 5 * kN);
+  lock.set_metrics(&sink);
   sched::StepScheduler sched(kN, {.seed = 9});
   m.set_hook(&sched);
   sched.run([&](Pid p) {
     for (int round = 0; round < 5; ++round) {
-      const auto r = lock.enter(p, nullptr);
-      log.record(p, EventKind::kDoorway, r.slot);
-      if (r.acquired) {
-        log.record(p, EventKind::kAcquire);
-        log.record(p, EventKind::kRelease);
-        lock.exit(p);
-      } else {
-        log.record(p, EventKind::kAbort);
-      }
+      if (lock.enter(p, nullptr).acquired) lock.exit(p);
     }
   });
   m.set_hook(nullptr);
-  const AuditReport report = audit_long_lived(log.events());
+  const AuditReport report = audit_long_lived(whole_stream(sink));
   EXPECT_TRUE(report.mutex_ok) << report.to_string();
   EXPECT_TRUE(report.conservation_ok);
   EXPECT_TRUE(report.starvation_ok) << report.to_string();
   EXPECT_EQ(report.unresolved_attempts, 0u);
   EXPECT_EQ(report.acquires, kN * 5u);
+  EXPECT_EQ(report.doorways, kN * 5u);
+}
+
+// Native threads: the observed facade's own stream, written concurrently
+// into the per-pid rings, audits clean. One attempt in ten is made with its
+// abort signal already raised, so it aborts unless it is granted without
+// waiting; either way it must resolve.
+TEST(AuditedExecution, NativeObservedLockStreamAudits) {
+  constexpr std::uint32_t kThreads = 4;
+  constexpr int kRounds = 400;
+  ObservedAbortableLock lock(LockConfig{.max_threads = kThreads,
+                                        .tree_width = 4});
+  Metrics sink(kThreads, /*ring_capacity=*/4 * kRounds * kThreads);
+  lock.set_metrics(&sink);
+  std::deque<AbortSignal> signals(kThreads);
+  std::vector<std::thread> threads;
+  for (std::uint32_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      pal::Xoshiro256 rng(t * 977 + 5);
+      for (int r = 0; r < kRounds; ++r) {
+        if (rng.below(10) == 0) {
+          signals[t].raise();
+        } else {
+          signals[t].reset();
+        }
+        if (lock.enter(t, signals[t])) lock.exit(t);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  const AuditReport report = audit_long_lived(whole_stream(sink));
+  EXPECT_TRUE(report.mutex_ok) << report.to_string();
+  EXPECT_TRUE(report.conservation_ok) << report.to_string();
+  EXPECT_TRUE(report.starvation_ok) << report.to_string();
+  EXPECT_EQ(report.acquires + report.aborts, kThreads * kRounds);
+  EXPECT_EQ(report.acquires, sink.totals().acquisitions);
 }
 
 }  // namespace

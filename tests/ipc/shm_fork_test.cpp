@@ -210,8 +210,8 @@ TEST(ShmIpcFork, SigkilledHolderRecoveredInOneSweep) {
     EXPECT_NE(pre.str().find("\"phase\":\"holding\""), std::string::npos);
   }
   bool victim_granted_seen = false;
-  for (const obs::ShmEvent& e : table->shm_metrics().ring_snapshot()) {
-    if (e.kind == obs::ShmEventKind::kGranted && e.pid == victim &&
+  for (const obs::Event& e : table->shm_metrics().ring_snapshot()) {
+    if (e.kind == obs::EventKind::kGranted && e.pid == victim &&
         e.writer_os_pid == static_cast<std::uint64_t>(child)) {
       victim_granted_seen = true;  // written by the now-dead process itself
     }
@@ -231,8 +231,8 @@ TEST(ShmIpcFork, SigkilledHolderRecoveredInOneSweep) {
   // Exactly one typed forced-exit event, victim pid attached, and the
   // matching dispatch counter — readable from the segment by any process.
   std::size_t forced_events = 0;
-  for (const obs::ShmEvent& e : table->shm_metrics().ring_snapshot()) {
-    if (e.kind == obs::ShmEventKind::kForcedExit) {
+  for (const obs::Event& e : table->shm_metrics().ring_snapshot()) {
+    if (e.kind == obs::EventKind::kForcedExit) {
       ++forced_events;
       EXPECT_EQ(e.victim, victim);
       EXPECT_EQ(e.pid, survivor->id());
@@ -317,8 +317,8 @@ TEST(ShmIpcFork, SigkilledWaiterForcedToAbort) {
   // sweeping executor — the timeline an operator sees in Perfetto.
   std::size_t on_behalf = 0;
   const auto events = table->shm_metrics().ring_snapshot();
-  for (const obs::ShmEvent& e : events) {
-    if (e.kind == obs::ShmEventKind::kAbortOnBehalf) {
+  for (const obs::Event& e : events) {
+    if (e.kind == obs::EventKind::kAbortOnBehalf) {
       ++on_behalf;
       EXPECT_EQ(e.victim, victim);
       EXPECT_EQ(e.pid, survivor->id());
@@ -329,7 +329,7 @@ TEST(ShmIpcFork, SigkilledWaiterForcedToAbort) {
   bool victim_span_forced_abort = false;
   for (const obs::PassageSpan& s : obs::assemble_passage_spans(events)) {
     if (s.pid == victim && s.closed && s.forced && !s.granted &&
-        s.close_kind == obs::ShmEventKind::kAbortOnBehalf &&
+        s.close_kind == obs::EventKind::kAbortOnBehalf &&
         s.recovered_by == survivor->id()) {
       victim_span_forced_abort = true;
     }
@@ -410,8 +410,8 @@ TEST(ShmIpcFork, SigkilledGrantedWaiterDrivenThroughCompleteGrant) {
   // the victim pid, and a victim span the tracer closes *granted* + forced.
   std::size_t complete_grants = 0;
   const auto events = table->shm_metrics().ring_snapshot();
-  for (const obs::ShmEvent& e : events) {
-    if (e.kind == obs::ShmEventKind::kCompleteGrant) {
+  for (const obs::Event& e : events) {
+    if (e.kind == obs::EventKind::kCompleteGrant) {
       ++complete_grants;
       EXPECT_EQ(e.victim, victim);
       EXPECT_EQ(e.pid, survivor->id());
@@ -422,7 +422,7 @@ TEST(ShmIpcFork, SigkilledGrantedWaiterDrivenThroughCompleteGrant) {
   bool victim_span_completed = false;
   for (const obs::PassageSpan& s : obs::assemble_passage_spans(events)) {
     if (s.pid == victim && s.closed && s.forced && s.granted &&
-        s.close_kind == obs::ShmEventKind::kCompleteGrant) {
+        s.close_kind == obs::EventKind::kCompleteGrant) {
       victim_span_completed = true;
     }
   }
@@ -497,8 +497,8 @@ TEST(ShmIpcFork, ReattachResumesOwnIdentityAfterSigkill) {
             static_cast<std::uint64_t>(::getpid()));
   EXPECT_NE(reattached->token(), token);
   std::size_t reentry_events = 0;
-  for (const obs::ShmEvent& e : table->shm_metrics().ring_snapshot()) {
-    if (e.kind == obs::ShmEventKind::kReentry) {
+  for (const obs::Event& e : table->shm_metrics().ring_snapshot()) {
+    if (e.kind == obs::EventKind::kReentry) {
       ++reentry_events;
       EXPECT_EQ(e.victim, victim);
     }

@@ -13,10 +13,12 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
 
+#include "aml/core/abortable_lock.hpp"
 #include "aml/ipc/shm_table.hpp"
 #include "aml/ipc/stat_snapshot.hpp"
 #include "aml/obs/shm_metrics.hpp"
@@ -26,8 +28,8 @@ namespace aml::ipc {
 namespace {
 
 using namespace std::chrono_literals;
-using obs::ShmEvent;
-using obs::ShmEventKind;
+using obs::Event;
+using obs::EventKind;
 
 constexpr std::uint64_t kForgedDeadPid = 0x7FFF'FFFF;
 
@@ -51,10 +53,10 @@ struct ScopedSegment {
   std::string name;
 };
 
-std::vector<ShmEvent> events_of_kind(const obs::ShmMetrics& shm,
-                                     ShmEventKind kind) {
-  std::vector<ShmEvent> out;
-  for (const ShmEvent& e : shm.ring_snapshot()) {
+std::vector<Event> events_of_kind(const obs::ShmMetrics& shm,
+                                  EventKind kind) {
+  std::vector<Event> out;
+  for (const Event& e : shm.ring_snapshot()) {
     if (e.kind == kind) out.push_back(e);
   }
   return out;
@@ -78,18 +80,18 @@ TEST(ShmIpcStat, LifecycleEventsLandInTheSegmentRing) {
   // One full passage: enter, granted, exit — all attributed to the session's
   // dense pid, stamped with this OS process, in ring order.
   std::uint64_t torn = ~std::uint64_t{0};
-  const std::vector<ShmEvent> events = shm.ring_snapshot(&torn);
+  const std::vector<Event> events = shm.ring_snapshot(&torn);
   EXPECT_EQ(torn, 0u);
   ASSERT_GE(events.size(), 3u);
-  std::vector<ShmEventKind> kinds;
-  for (const ShmEvent& e : events) {
+  std::vector<EventKind> kinds;
+  for (const Event& e : events) {
     EXPECT_EQ(e.pid, session->id());
     EXPECT_EQ(e.writer_os_pid, static_cast<std::uint64_t>(::getpid()));
     kinds.push_back(e.kind);
   }
-  const std::vector<ShmEventKind> expect = {
-      ShmEventKind::kEnter, ShmEventKind::kGranted, ShmEventKind::kExit};
-  EXPECT_EQ(std::vector<ShmEventKind>(kinds.begin(), kinds.begin() + 3),
+  const std::vector<EventKind> expect = {
+      EventKind::kEnter, EventKind::kGranted, EventKind::kExit};
+  EXPECT_EQ(std::vector<EventKind>(kinds.begin(), kinds.begin() + 3),
             expect);
 
   const obs::ShmMetrics::Totals totals = shm.totals();
@@ -133,7 +135,7 @@ TEST(ShmIpcStat, RingWrapKeepsNewestAndCountsDropped) {
                          2 * per_pid);
 
   std::uint64_t torn = ~std::uint64_t{0};
-  const std::vector<ShmEvent> events = shm.ring_snapshot(&torn);
+  const std::vector<Event> events = shm.ring_snapshot(&torn);
   // Quiesced writers: every retained window is fully published.
   EXPECT_EQ(torn, 0u);
   ASSERT_EQ(events.size(), 2 * per_pid);
@@ -141,7 +143,7 @@ TEST(ShmIpcStat, RingWrapKeepsNewestAndCountsDropped) {
   // and ending at its newest sequence number.
   for (const Pid p : {a->id(), b->id()}) {
     std::vector<std::uint64_t> seqs;
-    for (const ShmEvent& e : events) {
+    for (const Event& e : events) {
       if (e.pid == p) seqs.push_back(e.seq);
     }
     ASSERT_EQ(seqs.size(), per_pid) << "pid " << p;
@@ -173,14 +175,14 @@ TEST(ShmIpcStat, QuietPidEventsSurviveAnotherPidsFlood) {
   obs::ShmMetrics& shm = table->shm_metrics();
   EXPECT_GT(shm.ring_total(flooder->id()), 10u * cfg.ring_capacity);
   EXPECT_EQ(shm.ring_dropped(victim->id()), 0u);
-  std::vector<ShmEventKind> kinds;
-  for (const ShmEvent& e : shm.ring_snapshot()) {
+  std::vector<EventKind> kinds;
+  for (const Event& e : shm.ring_snapshot()) {
     if (e.pid == victim->id()) kinds.push_back(e.kind);
   }
   ASSERT_GE(kinds.size(), 3u);
-  const std::vector<ShmEventKind> expect = {
-      ShmEventKind::kEnter, ShmEventKind::kGranted, ShmEventKind::kExit};
-  EXPECT_EQ(std::vector<ShmEventKind>(kinds.begin(), kinds.begin() + 3),
+  const std::vector<EventKind> expect = {
+      EventKind::kEnter, EventKind::kGranted, EventKind::kExit};
+  EXPECT_EQ(std::vector<EventKind>(kinds.begin(), kinds.begin() + 3),
             expect);
 }
 
@@ -209,31 +211,31 @@ TEST(ShmIpcStat, MergedStreamOrdersHandOffsByTime) {
   obs::ShmMetrics& shm = table->shm_metrics();
   EXPECT_EQ(shm.ring_dropped(), 0u);
   std::uint64_t torn = ~std::uint64_t{0};
-  const std::vector<ShmEvent> events = shm.ring_snapshot(&torn);
+  const std::vector<Event> events = shm.ring_snapshot(&torn);
   EXPECT_EQ(torn, 0u);
   // Time never runs backwards in the merged stream, and on the stripe every
   // grant follows the previous holder's exit: granted/exit strictly
   // alternate, each exit by the pid that was granted.
   const std::uint32_t stripe = table->stripe_of(key);
-  Pid holder = ShmEvent::kNoPid;
+  Pid holder = Event::kNoPid;
   std::uint64_t grants = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {
     if (i != 0) {
-      EXPECT_LE(events[i - 1].mono_ns, events[i].mono_ns);
+      EXPECT_LE(events[i - 1].ts, events[i].ts);
     }
-    const ShmEvent& e = events[i];
+    const Event& e = events[i];
     if (e.stripe != stripe) continue;
-    if (e.kind == ShmEventKind::kGranted) {
-      EXPECT_EQ(holder, ShmEvent::kNoPid) << "grant before exit at " << i;
+    if (e.kind == EventKind::kGranted) {
+      EXPECT_EQ(holder, Event::kNoPid) << "grant before exit at " << i;
       holder = e.pid;
       ++grants;
-    } else if (e.kind == ShmEventKind::kExit) {
+    } else if (e.kind == EventKind::kExit) {
       EXPECT_EQ(holder, e.pid) << "exit by a non-holder at " << i;
-      holder = ShmEvent::kNoPid;
+      holder = Event::kNoPid;
     }
   }
   EXPECT_EQ(grants, 2u * kPassages);
-  EXPECT_EQ(holder, ShmEvent::kNoPid);
+  EXPECT_EQ(holder, Event::kNoPid);
 }
 
 TEST(ShmIpcStat, HandoffHistogramRecordsCrossSessionHandoffs) {
@@ -276,7 +278,7 @@ TEST(ShmIpcStat, ForcedExitArmEmitsOneTypedEventWithVictim) {
   EXPECT_EQ(survivor->recover_dead(), 1u);
 
   obs::ShmMetrics& shm = table->shm_metrics();
-  const auto forced = events_of_kind(shm, ShmEventKind::kForcedExit);
+  const auto forced = events_of_kind(shm, EventKind::kForcedExit);
   ASSERT_EQ(forced.size(), 1u);
   EXPECT_EQ(forced[0].victim, victim->id());
   EXPECT_EQ(forced[0].pid, survivor->id());  // the executor
@@ -311,7 +313,7 @@ TEST(ShmIpcStat, ZombieRetireArmEmitsOneTypedEventWithVictim) {
   EXPECT_EQ(survivor->recover_dead(), 0u);  // zombies are not "recovered"
 
   obs::ShmMetrics& shm = table->shm_metrics();
-  const auto retired = events_of_kind(shm, ShmEventKind::kZombieRetire);
+  const auto retired = events_of_kind(shm, EventKind::kZombieRetire);
   ASSERT_EQ(retired.size(), 1u);
   EXPECT_EQ(retired[0].victim, victim->id());
   EXPECT_EQ(retired[0].pid, survivor->id());
@@ -343,7 +345,7 @@ TEST(ShmIpcStat, JoinedVictimAbortedOnBehalfWithOneTypedEvent) {
   EXPECT_EQ(survivor->recover_dead(), 1u);
 
   obs::ShmMetrics& shm = table->shm_metrics();
-  const auto aborted = events_of_kind(shm, ShmEventKind::kAbortOnBehalf);
+  const auto aborted = events_of_kind(shm, EventKind::kAbortOnBehalf);
   ASSERT_EQ(aborted.size(), 1u);
   EXPECT_EQ(aborted[0].victim, victim->id());
   EXPECT_EQ(aborted[0].pid, survivor->id());
@@ -375,7 +377,7 @@ TEST(ShmIpcStat, TracerClosesVictimSpanForcedWithRecoveryAnnotation) {
     auto guard = survivor->acquire(std::uint64_t{0});
   }
 
-  const std::vector<ShmEvent> events =
+  const std::vector<Event> events =
       table->shm_metrics().ring_snapshot();
   const std::vector<obs::PassageSpan> spans =
       obs::assemble_passage_spans(events);
@@ -390,14 +392,14 @@ TEST(ShmIpcStat, TracerClosesVictimSpanForcedWithRecoveryAnnotation) {
   ASSERT_NE(victim_span, nullptr);
   EXPECT_TRUE(victim_span->granted);
   EXPECT_TRUE(victim_span->closed);
-  EXPECT_EQ(victim_span->close_kind, ShmEventKind::kForcedExit);
+  EXPECT_EQ(victim_span->close_kind, EventKind::kForcedExit);
   EXPECT_EQ(victim_span->recovered_by, survivor->id());
   EXPECT_GE(victim_span->end_ns, victim_span->begin_ns);
 
   bool survivor_clean = false;
   for (const obs::PassageSpan& span : spans) {
     if (span.pid == survivor->id() && span.closed && !span.forced &&
-        span.close_kind == ShmEventKind::kExit) {
+        span.close_kind == EventKind::kExit) {
       survivor_clean = true;
     }
   }
@@ -419,14 +421,14 @@ TEST(ShmIpcStat, TracerClosesVictimSpanForcedWithRecoveryAnnotation) {
 TEST(ShmIpcStat, TracerSynthesizesSpanWhenOpeningEventWrapped) {
   // Ring wrap robustness: a terminal whose opening enter was overwritten
   // still yields a (partial) span instead of disappearing.
-  std::vector<ShmEvent> events;
-  ShmEvent term;
-  term.kind = ShmEventKind::kAbortOnBehalf;
+  std::vector<Event> events;
+  Event term;
+  term.kind = EventKind::kAbortOnBehalf;
   term.stripe = 1;
   term.pid = 2;      // executor
   term.victim = 0;   // victim whose enter was lost
   term.seq = 900;
-  term.mono_ns = 5'000;
+  term.ts = 5'000;
   events.push_back(term);
 
   const std::vector<obs::PassageSpan> spans =
@@ -436,7 +438,92 @@ TEST(ShmIpcStat, TracerSynthesizesSpanWhenOpeningEventWrapped) {
   EXPECT_TRUE(spans[0].closed);
   EXPECT_TRUE(spans[0].forced);
   EXPECT_EQ(spans[0].recovered_by, 2u);
-  EXPECT_EQ(spans[0].close_kind, ShmEventKind::kAbortOnBehalf);
+  EXPECT_EQ(spans[0].close_kind, EventKind::kAbortOnBehalf);
+}
+
+// --- one vocabulary across placements --------------------------------------
+
+std::vector<std::pair<EventKind, Pid>> kinds_and_pids(
+    const std::vector<Event>& events) {
+  std::vector<std::pair<EventKind, Pid>> out;
+  for (const Event& e : events) out.emplace_back(e.kind, e.pid);
+  return out;
+}
+
+template <typename Pred>
+void spin_until(Pred done) {
+  while (!done()) std::this_thread::sleep_for(100us);
+}
+
+bool has_enter_of(const std::vector<Event>& events, Pid p) {
+  for (const Event& e : events) {
+    if (e.kind == EventKind::kEnter && e.pid == p) return true;
+  }
+  return false;
+}
+
+// The same two-pid script through the in-process lock and through a
+// one-stripe segment: pid 0 is granted and holds, pid 1 enters and aborts on
+// its signal, pid 0 exits. Both sinks must report it in the same words, and
+// both streams must render as a trace.
+TEST(ShmIpcStat, SameScriptSameStreamInProcessAndInSegment) {
+  obs::Metrics sink(2, /*ring_capacity=*/64);
+  ObservedAbortableLock lock(LockConfig{.max_threads = 2});
+  lock.set_metrics(&sink);
+  {
+    const AbortSignal quiet;
+    AbortSignal stop;
+    ASSERT_TRUE(lock.enter(0, quiet));
+    std::thread waiter([&] { EXPECT_FALSE(lock.enter(1, stop)); });
+    spin_until([&] { return has_enter_of(sink.ring_snapshot(), 1); });
+    stop.raise();
+    waiter.join();
+    lock.exit(0);
+  }
+
+  ScopedSegment seg(unique_name("vocab"));
+  ShmTableConfig cfg = small_config();
+  cfg.stripes = 1;
+  std::string error;
+  auto table = ShmNamedLockTable::create(seg.name, cfg, &error);
+  ASSERT_NE(table, nullptr) << error;
+  auto a = table->open_session();
+  auto b = table->open_session();
+  ASSERT_TRUE(a && b);
+  ASSERT_EQ(a->id(), 0u);
+  ASSERT_EQ(b->id(), 1u);
+  const obs::ShmMetrics& shm = table->shm_metrics();
+  {
+    AbortSignal stop;
+    auto guard = a->acquire(std::uint64_t{7});
+    std::thread waiter([&] {
+      EXPECT_FALSE(b->try_acquire(std::uint64_t{7}, stop).has_value());
+    });
+    spin_until([&] { return has_enter_of(shm.ring_snapshot(), 1); });
+    stop.raise();
+    waiter.join();
+  }
+
+  std::uint64_t torn = ~std::uint64_t{0};
+  const std::vector<Event> local = sink.ring_snapshot(&torn);
+  EXPECT_EQ(torn, 0u);
+  const std::vector<Event> placed = shm.ring_snapshot(&torn);
+  EXPECT_EQ(torn, 0u);
+  const std::vector<std::pair<EventKind, Pid>> script = {
+      {EventKind::kEnter, 0}, {EventKind::kGranted, 0},
+      {EventKind::kEnter, 1}, {EventKind::kAbort, 1},
+      {EventKind::kExit, 0},  {EventKind::kSwitch, 0}};
+  EXPECT_EQ(kinds_and_pids(local), script);
+  EXPECT_EQ(kinds_and_pids(placed), script);
+
+  for (const auto* events : {&local, &placed}) {
+    std::ostringstream trace;
+    obs::write_chrome_trace(trace, *events);
+    const std::string json = trace.str();
+    EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
+    EXPECT_NE(json.find("\"outcome\":\"abort\""), std::string::npos) << json;
+    EXPECT_NE(json.find("\"outcome\":\"exit\""), std::string::npos) << json;
+  }
 }
 
 // --- aml_stat snapshot -----------------------------------------------------

@@ -211,7 +211,7 @@ TEST(ShmIpcTable, RecoverIdleVictimReclaimsWithoutRepairs) {
 // --- recoverable F&A: forged deaths inside the journaled windows ----------
 
 std::uint64_t ring_count(const ShmNamedLockTable& table,
-                         obs::ShmEventKind kind, Pid victim) {
+                         obs::EventKind kind, Pid victim) {
   std::uint64_t n = 0;
   for (const auto& e : table.shm_metrics().ring_snapshot()) {
     if (e.kind == kind && e.victim == victim) ++n;
@@ -264,10 +264,10 @@ TEST(ShmIpcTable, ForgedPrejoinDeathsDecideByJournal) {
   EXPECT_EQ(rec.fa_compensated, 1u);
   EXPECT_EQ(rec.fa_completed, 1u);
   EXPECT_EQ(rec.zombie_retires, 0u);
-  EXPECT_EQ(ring_count(*table, obs::ShmEventKind::kFaCompensated,
+  EXPECT_EQ(ring_count(*table, obs::EventKind::kFaCompensated,
                        announced->id()),
             1u);
-  EXPECT_EQ(ring_count(*table, obs::ShmEventKind::kFaCompleted, landed->id()),
+  EXPECT_EQ(ring_count(*table, obs::EventKind::kFaCompleted, landed->id()),
             1u);
 }
 
@@ -356,7 +356,7 @@ TEST(ShmIpcTable, ForgedSwitchAnnouncedDeathRedoesTheSwitch) {
   EXPECT_EQ(table->registry().state(victim->id()), ProcessRegistry::kFree);
   EXPECT_EQ(table->shm_metrics().recovery_totals().fa_completed, 1u);
   EXPECT_EQ(
-      ring_count(*table, obs::ShmEventKind::kFaCompleted, victim->id()), 1u);
+      ring_count(*table, obs::EventKind::kFaCompleted, victim->id()), 1u);
 
   // The switched-to instance grants normally.
   std::uint64_t key = 0;

@@ -1,12 +1,13 @@
-// aml::obs unit tests: event ring semantics, histogram summaries, metrics
-// counters and hand-off latency, the zero-cost disabled sink, and an
-// end-to-end sequential integration against the one-shot lock on the
-// counting CC model.
+// aml::obs unit tests: the persisted event encodings, per-pid event ring
+// semantics, histogram summaries, metrics counters and hand-off latency,
+// the zero-cost disabled sink, and an end-to-end sequential integration
+// against the one-shot lock on the counting CC model.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <vector>
 
 #include "aml/core/oneshot.hpp"
 #include "aml/model/counting_cc.hpp"
@@ -27,98 +28,140 @@ static_assert(
         sizeof(core::OneShotLock<model::CountingCcModel, Metrics>),
     "NullMetrics lock must not be larger than the instrumented one");
 
-// --- EventRing --------------------------------------------------------------
+static_assert(static_cast<int>(EventKind::kEnter) == 1 &&
+                  static_cast<int>(EventKind::kGranted) == 2 &&
+                  static_cast<int>(EventKind::kAbort) == 3 &&
+                  static_cast<int>(EventKind::kExit) == 4 &&
+                  static_cast<int>(EventKind::kSwitch) == 5 &&
+                  static_cast<int>(EventKind::kForcedExit) == 6 &&
+                  static_cast<int>(EventKind::kCompleteGrant) == 7 &&
+                  static_cast<int>(EventKind::kAbortOnBehalf) == 8 &&
+                  static_cast<int>(EventKind::kResignal) == 9 &&
+                  static_cast<int>(EventKind::kZombieRetire) == 10 &&
+                  static_cast<int>(EventKind::kFaCompleted) == 11 &&
+                  static_cast<int>(EventKind::kFaCompensated) == 12 &&
+                  static_cast<int>(EventKind::kReentry) == 13 &&
+                  static_cast<int>(EventKind::kZombieReclaim) == 14,
+              "event kinds are persisted in live segments: never renumber");
+static_assert(sizeof(EventSlot) == 40,
+              "the ring slot layout is persisted in live segments");
+
+// --- the per-pid event ring -------------------------------------------------
+
+Event make_event(EventKind kind, std::uint32_t slot, std::uint64_t ts) {
+  Event e;
+  e.kind = kind;
+  e.slot = slot;
+  e.ts = ts;
+  return e;
+}
 
 TEST(EventRingTest, DisabledWhenCapacityZero) {
-  EventRing ring(0);
-  ring.push({EventKind::kEnter, 0, 1, 10});
-  EXPECT_EQ(ring.capacity(), 0u);
-  EXPECT_EQ(ring.total_recorded(), 0u);
-  EXPECT_TRUE(ring.snapshot().empty());
+  Metrics m(2, /*ring_capacity=*/0);
+  m.on_enter(0, 1);
+  m.on_granted(1, 2);
+  EXPECT_EQ(m.ring_slots_per_pid(), 0u);
+  EXPECT_EQ(m.ring_total(), 0u);
+  EXPECT_EQ(m.ring_dropped(), 0u);
+  EXPECT_TRUE(m.ring_snapshot().empty());
+  EXPECT_EQ(m.totals().acquisitions, 1u);  // counters stay on
 }
 
 TEST(EventRingTest, RetainsInOrderBelowCapacity) {
-  EventRing ring(8);
-  for (std::uint64_t i = 0; i < 5; ++i) {
-    ring.push({EventKind::kEnter, static_cast<model::Pid>(i),
-               static_cast<std::uint32_t>(i), i + 1});
-  }
-  EXPECT_EQ(ring.total_recorded(), 5u);
-  EXPECT_EQ(ring.dropped(), 0u);
-  const auto events = ring.snapshot();
+  Metrics m(5, /*ring_capacity=*/40);  // 8 slots per pid
+  EXPECT_EQ(m.ring_slots_per_pid(), 8u);
+  for (std::uint32_t i = 0; i < 5; ++i) m.on_enter(i, i);
+  EXPECT_EQ(m.ring_total(), 5u);
+  EXPECT_EQ(m.ring_dropped(), 0u);
+  std::uint64_t torn = ~std::uint64_t{0};
+  const auto events = m.ring_snapshot(&torn);
+  EXPECT_EQ(torn, 0u);
   ASSERT_EQ(events.size(), 5u);
+  // One event per pid's ring, merged back into emission (tick) order.
   for (std::size_t i = 0; i < events.size(); ++i) {
-    EXPECT_EQ(events[i].tick, i + 1);
+    EXPECT_EQ(events[i].ts, i + 1);
+    EXPECT_EQ(events[i].pid, i);
     EXPECT_EQ(events[i].slot, i);
+    EXPECT_EQ(events[i].seq, 0u);
   }
 }
 
 TEST(EventRingTest, WraparoundKeepsNewestAndCountsDropped) {
-  EventRing ring(4);
-  for (std::uint64_t i = 0; i < 10; ++i) {
-    ring.push({EventKind::kExit, 0, static_cast<std::uint32_t>(i), i + 1});
-  }
-  EXPECT_EQ(ring.total_recorded(), 10u);
-  EXPECT_EQ(ring.dropped(), 6u);
-  const auto events = ring.snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  // Oldest retained first: slots 6,7,8,9.
+  Metrics m(2, /*ring_capacity=*/8);  // 4 slots per pid
+  for (std::uint32_t i = 0; i < 10; ++i) m.on_exit(0, i);
+  m.on_exit(1, 100);
+  m.on_exit(1, 101);
+  EXPECT_EQ(m.ring_total(), 12u);
+  // Only pid 0 wrapped; pid 1's quiet ring keeps everything it wrote.
+  EXPECT_EQ(m.ring_dropped(), 6u);
+  const auto events = m.ring_snapshot();
+  ASSERT_EQ(events.size(), 6u);
+  // Oldest retained first: pid 0's slots 6..9, then pid 1's two.
   for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(events[i].pid, 0u);
     EXPECT_EQ(events[i].slot, 6u + i);
+    EXPECT_EQ(events[i].seq, 6u + i);
   }
+  EXPECT_EQ(events[4].slot, 100u);
+  EXPECT_EQ(events[5].slot, 101u);
 }
 
 TEST(EventRingTest, StalledWriterSlotSkippedNotTorn) {
-  // The wrap race the per-slot sequence tags exist for: writer A claims a
-  // slot and stalls before publishing; other writers wrap the ring past it.
-  // snapshot() must skip A's slot (odd tag, or stale generation) instead of
-  // returning whatever half-written payload sits there.
-  EventRing ring(4);
-  const EventRing::Claim stalled = ring.claim();  // seq 0, never published
-  for (std::uint64_t i = 1; i <= 4; ++i) {
+  // The race the per-slot sequence tags exist for: a pid's writer claims a
+  // slot and stalls (or dies) before publishing; the pid's next owner wraps
+  // the ring past it. read() must skip the slot (odd tag, or stale
+  // generation) instead of returning whatever half-written payload sits
+  // there.
+  std::atomic<std::uint64_t> head{0};
+  EventSlot slots[4]{};
+  const PidRing ring(head, slots, 4);
+  const std::uint64_t stalled = ring.claim();  // seq 0, never published
+  for (std::uint32_t i = 1; i <= 4; ++i) {
     // Seqs 1..4: seq 4 wraps onto the stalled slot's index (4 % 4 == 0)
     // and overwrites its claim tag.
-    ring.push({EventKind::kEnter, 0, static_cast<std::uint32_t>(i), i});
+    ring.push(make_event(EventKind::kEnter, i, i));
   }
-  std::uint64_t torn = 0;
-  auto events = ring.snapshot(&torn);
+  std::vector<Event> events;
   // Retained window is seqs 1..4, all published: nothing torn, and the
   // stalled seq-0 entry is outside the window entirely.
-  EXPECT_EQ(torn, 0u);
+  EXPECT_EQ(ring.read(&events), 0u);
   ASSERT_EQ(events.size(), 4u);
-  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(events[i].tick, i + 1);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(events[i].ts, i + 1);
+  EXPECT_EQ(ring.dropped(), 1u);
 
   // Now the stalled writer finally publishes — long after its slot was
   // recycled for seq 4. The stale even tag names seq 0, so the slot no
   // longer matches seq 4's expected tag and is skipped and counted.
-  ring.publish(stalled, {EventKind::kAbort, 9, 99, 999});
-  events = ring.snapshot(&torn);
-  EXPECT_EQ(torn, 1u);
+  ring.publish(stalled, make_event(EventKind::kAbort, 99, 999));
+  events.clear();
+  EXPECT_EQ(ring.read(&events), 1u);
   ASSERT_EQ(events.size(), 3u);
   for (const Event& e : events) {
     EXPECT_NE(e.slot, 99u);  // the stale payload never surfaces
-    EXPECT_NE(e.tick, 999u);
+    EXPECT_NE(e.ts, 999u);
   }
 }
 
 TEST(EventRingTest, ClaimedButUnpublishedSlotInWindowIsSkipped) {
-  EventRing ring(8);
-  ring.push({EventKind::kEnter, 1, 1, 1});
-  const EventRing::Claim stalled = ring.claim();  // seq 1: odd tag, in window
-  ring.push({EventKind::kGranted, 1, 1, 3});
-  std::uint64_t torn = 0;
-  const auto events = ring.snapshot(&torn);
-  EXPECT_EQ(torn, 1u);
+  std::atomic<std::uint64_t> head{0};
+  EventSlot slots[8]{};
+  const PidRing ring(head, slots, 8);
+  ring.push(make_event(EventKind::kEnter, 1, 1));
+  const std::uint64_t stalled = ring.claim();  // seq 1: odd tag, in window
+  ring.push(make_event(EventKind::kGranted, 1, 3));
+  std::vector<Event> events;
+  EXPECT_EQ(ring.read(&events), 1u);
   ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].tick, 1u);
-  EXPECT_EQ(events[1].tick, 3u);
+  EXPECT_EQ(events[0].ts, 1u);
+  EXPECT_EQ(events[1].ts, 3u);
   // Late publish into a still-current slot heals it: the tag now matches.
-  ring.publish(stalled, {EventKind::kAbort, 1, 1, 2});
-  const auto healed = ring.snapshot(&torn);
-  EXPECT_EQ(torn, 0u);
+  ring.publish(stalled, make_event(EventKind::kAbort, 1, 2));
+  std::vector<Event> healed;
+  EXPECT_EQ(ring.read(&healed), 0u);
   ASSERT_EQ(healed.size(), 3u);
-  EXPECT_EQ(healed[1].tick, 2u);
+  EXPECT_EQ(healed[1].ts, 2u);
   EXPECT_EQ(healed[1].kind, EventKind::kAbort);
+  EXPECT_EQ(healed[1].seq, 1u);
 }
 
 TEST(EventRingTest, KindNames) {
@@ -127,6 +170,20 @@ TEST(EventRingTest, KindNames) {
   EXPECT_STREQ(event_kind_name(EventKind::kAbort), "abort");
   EXPECT_STREQ(event_kind_name(EventKind::kExit), "exit");
   EXPECT_STREQ(event_kind_name(EventKind::kSwitch), "switch");
+  EXPECT_STREQ(event_kind_name(EventKind::kForcedExit), "forced-exit");
+  EXPECT_STREQ(event_kind_name(EventKind::kCompleteGrant), "complete-grant");
+  EXPECT_STREQ(event_kind_name(EventKind::kAbortOnBehalf), "forced-abort");
+  EXPECT_STREQ(event_kind_name(EventKind::kResignal), "resignal");
+  EXPECT_STREQ(event_kind_name(EventKind::kZombieRetire), "zombie-retire");
+  EXPECT_STREQ(event_kind_name(EventKind::kFaCompleted), "fa-completed");
+  EXPECT_STREQ(event_kind_name(EventKind::kFaCompensated), "fa-compensated");
+  EXPECT_STREQ(event_kind_name(EventKind::kReentry), "re-entry");
+  EXPECT_STREQ(event_kind_name(EventKind::kZombieReclaim),
+               "zombie-reclaimed");
+  // The lifecycle kinds are the owner's own; the rest are a survivor's.
+  for (int k = 1; k <= 14; ++k) {
+    EXPECT_EQ(event_is_recovery(static_cast<EventKind>(k)), k >= 6) << k;
+  }
 }
 
 // --- LatencyHistogram -------------------------------------------------------
@@ -220,7 +277,7 @@ TEST(MetricsTest, RingRecordsLifecycle) {
   m.on_granted(0, 0);
   m.on_exit(0, 0);
   m.on_switch(1);
-  const auto events = m.ring().snapshot();
+  const auto events = m.ring_snapshot();
   ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(events[0].kind, EventKind::kEnter);
   EXPECT_EQ(events[1].kind, EventKind::kGranted);
@@ -229,7 +286,7 @@ TEST(MetricsTest, RingRecordsLifecycle) {
   EXPECT_EQ(events[3].slot, kNoSlot);
   // Logical clock: strictly increasing ticks.
   for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_LT(events[i - 1].tick, events[i].tick);
+    EXPECT_LT(events[i - 1].ts, events[i].ts);
   }
 }
 
@@ -240,10 +297,10 @@ TEST(MetricsTest, CustomClock) {
   m.on_enter(0, 0);
   fake = 250;
   m.on_granted(0, 0);
-  const auto events = m.ring().snapshot();
+  const auto events = m.ring_snapshot();
   ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].tick, 100u);
-  EXPECT_EQ(events[1].tick, 250u);
+  EXPECT_EQ(events[0].ts, 100u);
+  EXPECT_EQ(events[1].ts, 250u);
 }
 
 TEST(MetricsTest, ResetClearsCountersKeepsRingHistory) {
@@ -251,7 +308,7 @@ TEST(MetricsTest, ResetClearsCountersKeepsRingHistory) {
   m.on_granted(0, 0);
   m.reset();
   EXPECT_EQ(m.totals().acquisitions, 0u);
-  EXPECT_EQ(m.ring().total_recorded(), 1u);  // documented: history retained
+  EXPECT_EQ(m.ring_total(), 1u);  // documented: history retained
 }
 
 // --- SinkHandle -------------------------------------------------------------
@@ -293,7 +350,7 @@ TEST(ObsIntegrationTest, OneShotSequentialLifecycle) {
   EXPECT_EQ(t.findnext_ascents, kN);
 
   // Sequential and uncontended: enter/granted/exit per process, in order.
-  const auto events = metrics.ring().snapshot();
+  const auto events = metrics.ring_snapshot();
   ASSERT_EQ(events.size(), 3u * kN);
   for (std::uint32_t p = 0; p < kN; ++p) {
     EXPECT_EQ(events[3 * p].kind, EventKind::kEnter);

@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "aml/pal/backoff.hpp"
 #include "aml/pal/rng.hpp"
 #include "aml/pal/threading.hpp"
 #include "aml/table/named_table.hpp"
@@ -194,8 +195,7 @@ TEST(TableNativeStress, ZipfDeadlineStormWithSessionChurn) {
           // Hold the stripe for a real window so zero-budget attempts can
           // collide with a holder; an instantaneous critical section makes
           // the timeout half of the storm vanish.
-          for (volatile int spin = 0; spin < 1000; ++spin) {
-          }
+          for (int spin = 0; spin < 1000; ++spin) pal::cpu_relax();
           in_cs[s].fetch_sub(1, std::memory_order_acq_rel);
           granted.fetch_add(1, std::memory_order_relaxed);
         } else {

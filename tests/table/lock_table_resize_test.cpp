@@ -11,6 +11,7 @@
 #include "aml/analysis/oracles.hpp"
 #include "aml/harness/audit.hpp"
 #include "aml/model/counting_cc.hpp"
+#include "aml/obs/metrics.hpp"
 #include "aml/pal/rng.hpp"
 #include "aml/sched/scheduler.hpp"
 #include "aml/table/lock_table.hpp"
@@ -151,7 +152,9 @@ TEST(LockTableResize, RandomizedMidRunResizeKeepsPerKeyExclusion) {
   std::atomic<bool> violation{false};
   std::atomic<std::uint64_t> passages{0};
   bool resized = false;
-  harness::EventLog log;
+  // The audited history, recorded through a sink's hooks around each
+  // table call (one ring per pid).
+  obs::Metrics log(kProcs, /*ring_capacity=*/4 * kRounds * kProcs);
 
   sched::StepScheduler::Config cfg;
   cfg.seed = 21;
@@ -178,23 +181,23 @@ TEST(LockTableResize, RandomizedMidRunResizeKeepsPerKeyExclusion) {
         // Multi-key passage through the bridged path.
         std::vector<std::uint64_t> keys{zipf(rng), zipf(rng)};
         const auto hashes = table.plan_hashes(keys);
-        log.record(p, harness::EventKind::kDoorway);
+        log.on_enter(p, 0);
         ASSERT_TRUE(table.enter_hashes(p, hashes));
-        log.record(p, harness::EventKind::kAcquire);
-        log.record(p, harness::EventKind::kRelease);
+        log.on_granted(p, 0);
+        log.on_exit(p, 0);
         table.exit_hashes(p, hashes);
         passages.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
       const std::uint64_t key = zipf(rng);
-      log.record(p, harness::EventKind::kDoorway);
+      log.on_enter(p, 0);
       ASSERT_TRUE(table.enter(p, key));
-      log.record(p, harness::EventKind::kAcquire);
+      log.on_granted(p, 0);
       if (in_cs[key].fetch_add(1, std::memory_order_acq_rel) != 0) {
         violation.store(true, std::memory_order_release);
       }
       in_cs[key].fetch_sub(1, std::memory_order_acq_rel);
-      log.record(p, harness::EventKind::kRelease);
+      log.on_exit(p, 0);
       table.exit(p, key);
       passages.fetch_add(1, std::memory_order_relaxed);
     }
@@ -205,7 +208,8 @@ TEST(LockTableResize, RandomizedMidRunResizeKeepsPerKeyExclusion) {
   // passage that entered its doorway resolved: starvation freedom held
   // across the mid-run resize.
   EXPECT_TRUE(result.violation.empty()) << result.violation;
-  const harness::AuditReport audit = harness::audit_long_lived(log.events());
+  const harness::AuditReport audit =
+      harness::audit_long_lived(log.ring_snapshot());
   EXPECT_TRUE(audit.starvation_ok) << audit.to_string();
   EXPECT_EQ(audit.unresolved_attempts, 0u);
 
@@ -285,8 +289,12 @@ TEST(LockTableResize, NoRunawayDoubleGrowAfterDrain) {
     });
     mem.set_hook(&scheduler);
     const auto result = scheduler.run([&](Pid p) {
-      if (p == 1) EXPECT_FALSE(table.enter(1, kKey, &stop1));
-      if (p == 2) EXPECT_FALSE(table.enter(2, kKey, &stop2));
+      if (p == 1) {
+        EXPECT_FALSE(table.enter(1, kKey, &stop1));
+      }
+      if (p == 2) {
+        EXPECT_FALSE(table.enter(2, kKey, &stop2));
+      }
     });
     mem.set_hook(nullptr);
     EXPECT_TRUE(result.violation.empty()) << result.violation;
@@ -411,7 +419,9 @@ TEST(LockTableResize, RandomizedMidRunResizeAmortizedStripes) {
   std::deque<std::atomic<int>> in_cs(kKeys);
   std::atomic<bool> violation{false};
   bool resized = false;
-  harness::EventLog log;
+  // The audited history, recorded through a sink's hooks around each
+  // table call (one ring per pid).
+  obs::Metrics log(kProcs, /*ring_capacity=*/4 * kRounds * kProcs);
 
   sched::StepScheduler::Config cfg;
   cfg.seed = 33;
@@ -434,21 +444,22 @@ TEST(LockTableResize, RandomizedMidRunResizeAmortizedStripes) {
     pal::Xoshiro256 rng(p * 257 + 11);
     for (std::uint32_t r = 0; r < kRounds; ++r) {
       const std::uint64_t key = zipf(rng);
-      log.record(p, harness::EventKind::kDoorway);
+      log.on_enter(p, 0);
       ASSERT_TRUE(table.enter(p, key));
-      log.record(p, harness::EventKind::kAcquire);
+      log.on_granted(p, 0);
       if (in_cs[key].fetch_add(1, std::memory_order_acq_rel) != 0) {
         violation.store(true, std::memory_order_release);
       }
       in_cs[key].fetch_sub(1, std::memory_order_acq_rel);
-      log.record(p, harness::EventKind::kRelease);
+      log.on_exit(p, 0);
       table.exit(p, key);
     }
   });
   mem.set_hook(nullptr);
 
   EXPECT_TRUE(result.violation.empty()) << result.violation;
-  const harness::AuditReport audit = harness::audit_long_lived(log.events());
+  const harness::AuditReport audit =
+      harness::audit_long_lived(log.ring_snapshot());
   EXPECT_TRUE(audit.starvation_ok) << audit.to_string();
   EXPECT_EQ(audit.unresolved_attempts, 0u);
   EXPECT_FALSE(violation.load());

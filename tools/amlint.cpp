@@ -21,8 +21,8 @@
 //       A plain std::atomic member bypasses the schedule gate, the RMR
 //       accounting and the DPOR footprints. Pointers/references to atomics
 //       are allowed: the paper's abort signal is exactly such an interface.
-//   R5  shm-placed structures (src/aml/ipc, inside the
-//       AML_SHM_REGION_BEGIN/END markers) must not contain raw pointers,
+//   R5  shm-placed structures (inside AML_SHM_REGION_BEGIN/END markers,
+//       in whatever file carries them) must not contain raw pointers,
 //       references, or virtual functions. A shared segment maps at a
 //       different base address in every process, so an absolute pointer or
 //       a vtable pointer is only meaningful in the process that wrote it —
@@ -1132,8 +1132,10 @@ int main(int argc, char** argv) {
     if (in_model_gated(rel)) {
       check_r4(code, original, rel, &findings);
     }
+    // R5 follows the markers, not a directory: shm-placed data is declared
+    // wherever its owner lives (the obs/ event ring, for one).
+    check_r5(code, original, rel, &findings);
     if (in_shm_scope(rel)) {
-      check_r5(code, original, rel, &findings);
       check_r7(code, original, rel, &findings);
     }
     if (in_hot_path(rel) || in_shm_scope(rel)) {

@@ -1,7 +1,8 @@
 // amlint R5 fixture: deliberate violations of the shm-placement rule, and
 // ONLY that rule — every atomic op names its order and nothing here is in a
-// hot-path or model-gated directory, so a finding from this file proves the
-// ipc/ AML_SHM_REGION scope specifically still bites.
+// hot-path or model-gated directory, so a finding from this file proves R5
+// still bites on the ipc/ layer's AML_SHM_REGION markers (testdata/r5scope
+// covers the same markers outside ipc/).
 //
 // Each violation below would be a real cross-process bug: the segment maps
 // at a different base in every process, so absolute pointers, references,
