@@ -158,7 +158,8 @@ int main() {
   // histogram that aml_stat reports, cross-checked here against the
   // caller-side stopwatch (shm p50 ≤ caller p50 since it excludes the
   // registry scan that found the victim).
-  const auto shm_sweep = table->shm_metrics().sweep_latency();
+  const aml::obs::LatencyHistogram::Snapshot shm_sweep =
+      table->shm_metrics().sweep_latency();
   br.summary("shm_latency_ns", shm)
       .summary("inprocess_latency_ns", native)
       .summary("recovery_sweep_ns", sweep)

@@ -100,7 +100,8 @@ int main() {
   std::printf("\nper-stripe rollup (acquisitions / aborts / mean handoff):\n");
   for (std::uint32_t s = 0; s < table.stripe_count(); ++s) {
     const auto totals = table.stripe_metrics(s).totals();
-    const auto handoff = table.stripe_metrics(s).handoff().snapshot();
+    const aml::obs::LatencyHistogram::Snapshot handoff =
+        table.stripe_metrics(s).handoff().snapshot();
     std::printf("  stripe %u: %8llu acq  %8llu abort  %8.1f ticks\n", s,
                 static_cast<unsigned long long>(totals.acquisitions),
                 static_cast<unsigned long long>(totals.aborts),

@@ -74,7 +74,9 @@ int main() {
   events.print();
 
   const aml::obs::Counters totals = metrics.totals();
-  const auto handoff = metrics.handoff().snapshot();
+  // p50 and max are bucket upper bounds (power-of-two buckets).
+  const aml::obs::LatencyHistogram::Snapshot handoff =
+      metrics.handoff().snapshot();
   std::printf(
       "obs counters: %llu acquisitions, %llu aborts, %llu spin-loop checks,\n"
       "%llu FindNext ascents; hand-off latency (logical ticks): "

@@ -61,7 +61,7 @@ inline const char* lease_state_name(ProcessRegistry::State s) {
 }
 
 inline void write_histogram(std::ostream& os,
-                            const obs::ShmHistogramSnapshot& h) {
+                            const obs::LatencyHistogram::Snapshot& h) {
   os << "{\"count\":" << h.count << ",\"sum\":" << h.sum
      << ",\"mean\":" << h.mean << ",\"p50\":" << h.p50
      << ",\"p90\":" << h.p90 << ",\"p99\":" << h.p99 << "}";
@@ -79,8 +79,7 @@ inline void write_recovery(std::ostream& os,
      << ",\"total\":" << r.total() << "}";
 }
 
-inline void write_counters(std::ostream& os,
-                           const obs::ShmMetrics::Totals& t) {
+inline void write_counters(std::ostream& os, const obs::Counters& t) {
   os << "{\"acquisitions\":" << t.acquisitions << ",\"aborts\":" << t.aborts
      << ",\"spin_iterations\":" << t.spin_iterations
      << ",\"findnext_ascents\":" << t.findnext_ascents
@@ -187,7 +186,7 @@ inline void write_stat_json(std::ostream& os, ShmNamedLockTable& table,
   os << ",\"sweep_latency\":";
   stat_detail::write_histogram(os, shm.sweep_latency());
   os << ",\"handoff\":";
-  stat_detail::write_histogram(os, shm.handoff());
+  stat_detail::write_histogram(os, shm.handoff().snapshot());
 
   // --- ring tail: newest merged events; `seq` counts within the pid's ring
   std::uint64_t torn = 0;

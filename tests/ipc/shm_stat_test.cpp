@@ -94,7 +94,7 @@ TEST(ShmIpcStat, LifecycleEventsLandInTheSegmentRing) {
   EXPECT_EQ(std::vector<EventKind>(kinds.begin(), kinds.begin() + 3),
             expect);
 
-  const obs::ShmMetrics::Totals totals = shm.totals();
+  const obs::Counters totals = shm.totals();
   EXPECT_EQ(totals.acquisitions, 1u);
   EXPECT_EQ(totals.aborts, 0u);
   EXPECT_EQ(shm.pid_counters(session->id()).acquisitions, 1u);
@@ -254,7 +254,8 @@ TEST(ShmIpcStat, HandoffHistogramRecordsCrossSessionHandoffs) {
   }
   // Every grant after the first claims the previous exit's parked
   // timestamp (same stripe), regardless of which session held before.
-  const obs::ShmHistogramSnapshot h = table->shm_metrics().handoff();
+  const obs::LatencyHistogram::Snapshot h =
+      table->shm_metrics().handoff().snapshot();
   EXPECT_GE(h.count, 7u);
   EXPECT_GT(h.sum, 0u);
   EXPECT_GE(h.p99, h.p50);
@@ -515,6 +516,17 @@ TEST(ShmIpcStat, SameScriptSameStreamInProcessAndInSegment) {
       {EventKind::kExit, 0},  {EventKind::kSwitch, 0}};
   EXPECT_EQ(kinds_and_pids(local), script);
   EXPECT_EQ(kinds_and_pids(placed), script);
+
+  // Both placements count the script in the same cells. Spin iterations are
+  // left out: the waiter spins until its signal lands, which is timing.
+  const obs::Counters here = sink.totals();
+  const obs::Counters there = shm.totals();
+  EXPECT_EQ(here.acquisitions, there.acquisitions);
+  EXPECT_EQ(here.aborts, there.aborts);
+  EXPECT_EQ(here.findnext_ascents, there.findnext_ascents);
+  EXPECT_EQ(here.instance_switches, there.instance_switches);
+  EXPECT_EQ(here.spin_node_recycles, there.spin_node_recycles);
+  EXPECT_EQ(sink.handoff().snapshot().count, shm.handoff().snapshot().count);
 
   for (const auto* events : {&local, &placed}) {
     std::ostringstream trace;

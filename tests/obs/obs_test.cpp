@@ -1,19 +1,23 @@
-// aml::obs unit tests: the persisted event encodings, per-pid event ring
-// semantics, histogram summaries, metrics counters and hand-off latency,
-// the zero-cost disabled sink, and an end-to-end sequential integration
-// against the one-shot lock on the counting CC model.
+// aml::obs unit tests: the persisted event encodings and cell sizes, per-pid
+// event ring semantics, histogram summaries and merges, metrics counters and
+// hand-off latency, race-free live reads under native writers, the
+// zero-cost disabled sink, and an end-to-end sequential integration against
+// the one-shot lock on the counting CC model.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <thread>
 #include <vector>
 
+#include "aml/core/abortable_lock.hpp"
 #include "aml/core/oneshot.hpp"
 #include "aml/model/counting_cc.hpp"
 #include "aml/obs/events.hpp"
 #include "aml/obs/histogram.hpp"
 #include "aml/obs/metrics.hpp"
+#include "aml/pal/rng.hpp"
 
 namespace aml::obs {
 namespace {
@@ -186,7 +190,13 @@ TEST(EventRingTest, KindNames) {
   }
 }
 
-// --- LatencyHistogram -------------------------------------------------------
+// --- LatencyHistogram: the one cell both sinks place -----------------------
+
+static_assert(sizeof(CounterCell) == 64,
+              "the counter cell is one cache line, persisted in segments");
+static_assert(sizeof(LatencyHistogram) == 576,
+              "count, sum and 65 buckets padded to whole lines, persisted in "
+              "segments");
 
 TEST(HistogramTest, BucketGeometry) {
   EXPECT_EQ(LatencyHistogram::bucket_of(0), 0u);
@@ -194,18 +204,21 @@ TEST(HistogramTest, BucketGeometry) {
   EXPECT_EQ(LatencyHistogram::bucket_of(2), 2u);
   EXPECT_EQ(LatencyHistogram::bucket_of(3), 2u);
   EXPECT_EQ(LatencyHistogram::bucket_of(4), 3u);
+  EXPECT_EQ(LatencyHistogram::bucket_of(1ull << 63), 64u);
   EXPECT_EQ(LatencyHistogram::bucket_of(~std::uint64_t{0}), 64u);
   EXPECT_EQ(LatencyHistogram::bucket_upper(0), 0u);
   EXPECT_EQ(LatencyHistogram::bucket_upper(1), 1u);
   EXPECT_EQ(LatencyHistogram::bucket_upper(2), 3u);
   EXPECT_EQ(LatencyHistogram::bucket_upper(3), 7u);
+  EXPECT_EQ(LatencyHistogram::bucket_upper(64), ~std::uint64_t{0});
 }
 
 TEST(HistogramTest, EmptySnapshot) {
   LatencyHistogram h;
   const auto s = h.snapshot();
   EXPECT_EQ(s.count, 0u);
-  EXPECT_EQ(s.min, 0u);
+  EXPECT_EQ(s.sum, 0u);
+  EXPECT_EQ(s.p99, 0u);
   EXPECT_EQ(s.max, 0u);
 }
 
@@ -215,23 +228,47 @@ TEST(HistogramTest, SummaryStats) {
   const auto s = h.snapshot();
   EXPECT_EQ(s.count, 4u);
   EXPECT_EQ(s.sum, 106u);
-  EXPECT_EQ(s.min, 1u);
-  EXPECT_EQ(s.max, 100u);
   EXPECT_DOUBLE_EQ(s.mean, 26.5);
   // p50 rank = 2 -> value 2 lives in bucket 2 (upper bound 3).
   EXPECT_EQ(s.p50, 3u);
-  // p99 rank = 4 -> 100 lives in bucket 7 (upper bound 127).
+  // p99 rank = 4 -> 100 lives in bucket 7 (upper bound 127), which is also
+  // the highest non-empty bucket.
   EXPECT_EQ(s.p99, 127u);
+  EXPECT_EQ(s.max, 127u);
 }
 
 TEST(HistogramTest, ResetClears) {
   LatencyHistogram h;
   h.record(42);
   h.reset();
-  const auto s = h.snapshot();
-  EXPECT_EQ(s.count, 0u);
+  EXPECT_EQ(h.snapshot().count, 0u);
   h.record(7);
-  EXPECT_EQ(h.snapshot().min, 7u);
+  const auto s = h.snapshot();
+  EXPECT_EQ(s.count, 1u);
+  EXPECT_EQ(s.sum, 7u);
+  EXPECT_EQ(s.max, 7u);
+}
+
+TEST(HistogramTest, MergedCellsEqualOneCellFedBothSampleSets) {
+  const std::vector<std::uint64_t> a = {0, 1, 5, 9, 300, 70000};
+  const std::vector<std::uint64_t> b = {2, 2, 17, 1ull << 40};
+  LatencyHistogram cells[2];
+  LatencyHistogram one;
+  for (const std::uint64_t v : a) cells[0].record(v);
+  for (const std::uint64_t v : b) cells[1].record_shared(v);
+  for (const std::uint64_t v : a) one.record(v);
+  for (const std::uint64_t v : b) one.record(v);
+  const auto merged = HistogramCells{cells, 2}.snapshot();
+  const auto single = one.snapshot();
+  EXPECT_EQ(merged.count, a.size() + b.size());
+  EXPECT_EQ(merged.count, single.count);
+  EXPECT_EQ(merged.sum, single.sum);
+  EXPECT_DOUBLE_EQ(merged.mean, single.mean);
+  EXPECT_EQ(merged.p50, single.p50);
+  EXPECT_EQ(merged.p90, single.p90);
+  EXPECT_EQ(merged.p99, single.p99);
+  EXPECT_EQ(merged.max, single.max);
+  EXPECT_EQ(merged.buckets, single.buckets);
 }
 
 // --- Metrics ----------------------------------------------------------------
@@ -266,9 +303,8 @@ TEST(MetricsTest, HandoffLatencyRecordedBetweenExitAndGrant) {
   m.on_enter(1, 1);             // tick 3
   m.on_granted(1, 1);           // tick 4 -> latency 4 - 2 = 2
   const auto s = m.handoff().snapshot();
-  ASSERT_EQ(s.count, 1u);
-  EXPECT_EQ(s.min, 2u);
-  EXPECT_EQ(s.max, 2u);
+  EXPECT_EQ(s.count, 1u);
+  EXPECT_EQ(s.sum, 2u);
 }
 
 TEST(MetricsTest, RingRecordsLifecycle) {
@@ -309,6 +345,66 @@ TEST(MetricsTest, ResetClearsCountersKeepsRingHistory) {
   m.reset();
   EXPECT_EQ(m.totals().acquisitions, 0u);
   EXPECT_EQ(m.ring_total(), 1u);  // documented: history retained
+}
+
+// Native threads write their own cells while a fifth thread polls the
+// totals and the merged hand-off histogram. Every read is a relaxed load of
+// an owner-stored word, so the reads are race-free (the TSan job runs this
+// by its Native filter), and each pid's counters only grow between polls.
+TEST(MetricsNative, ConcurrentReaderWhileWriting) {
+  constexpr std::uint32_t kThreads = 4;
+  constexpr int kRounds = 2000;
+  ObservedAbortableLock lock(LockConfig{.max_threads = kThreads,
+                                        .tree_width = 4});
+  Metrics sink(kThreads);
+  lock.set_metrics(&sink);
+
+  std::atomic<bool> writers_done{false};
+  std::uint64_t polls = 0;
+  std::uint64_t decreases = 0;
+  std::thread reader([&] {
+    std::uint64_t last = 0;
+    while (!writers_done.load(std::memory_order_acquire)) {
+      const Counters t = sink.totals();
+      const LatencyHistogram::Snapshot h = sink.handoff().snapshot();
+      if (t.acquisitions < last) ++decreases;
+      EXPECT_LE(h.p50, h.max);
+      last = t.acquisitions;
+      ++polls;
+    }
+  });
+
+  std::deque<AbortSignal> signals(kThreads);
+  std::atomic<std::uint64_t> granted{0};
+  std::vector<std::thread> writers;
+  for (std::uint32_t t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&, t] {
+      pal::Xoshiro256 rng(t * 131 + 7);
+      std::uint64_t mine = 0;
+      for (int r = 0; r < kRounds; ++r) {
+        if (rng.below(10) == 0) {
+          signals[t].raise();
+        } else {
+          signals[t].reset();
+        }
+        if (lock.enter(t, signals[t])) {
+          ++mine;
+          lock.exit(t);
+        }
+      }
+      granted.fetch_add(mine, std::memory_order_relaxed);
+    });
+  }
+  for (auto& w : writers) w.join();
+  writers_done.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_GT(polls, 0u);
+  EXPECT_EQ(decreases, 0u);
+  const Counters t = sink.totals();
+  EXPECT_EQ(t.acquisitions, granted.load());
+  EXPECT_EQ(t.acquisitions + t.aborts, std::uint64_t{kThreads} * kRounds);
+  EXPECT_LE(sink.handoff().snapshot().count, t.acquisitions);
 }
 
 // --- SinkHandle -------------------------------------------------------------
