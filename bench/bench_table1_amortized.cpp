@@ -8,43 +8,33 @@
 // nobody aborts. Gate: the amortized lock's mean completed-passage RMR is at
 // or below the paper lock's at every contention level.
 //
-// Part 2 — the hybrid table earning its keep. An abort-storm Zipf workload
-// runs against LockTable in three configurations: pure paper stripes, pure
-// amortized stripes, and the hybrid policy (start amortized, re-choose per
-// stripe on resize from observed abort rates). Traffic is partitioned by
-// phase-1 stripe: steady contenders draw Zipf keys hashing to stripes 0/2
-// and never abort; stormy contenders hammer the keys of stripe 1 with
-// mostly *marked* attempts — the abort signal is raised up front, so a
-// marked attempt aborts the moment it would have to wait (a try-lock storm).
-// Completers hold the lock across several scratch reads, so the stormy
-// stripe is occupied most of the time and the storm's abort rate is high.
+// Part 2 — the same comparison under an abort storm, through LockTable's
+// striping: a key's stripe is its key hash masked to a power-of-two stripe
+// count, and the array is rebuilt wider (4 -> 8) between two quiesced
+// phases. Both rows run the same traffic over a bench-local stripe array, one
+// with every stripe on the paper lock (LockTable's stripe lock), one with
+// every stripe on the amortized lock. Traffic is partitioned by phase-1
+// stripe: steady contenders draw Zipf keys hashing to stripes 0/2 and never
+// abort; stormy contenders hammer the keys of stripe 1 with mostly *marked*
+// attempts — the abort signal is raised up front, so a marked attempt aborts
+// the moment it would have to wait (a try-lock storm). Completers hold the
+// lock across several scratch reads, so the stormy stripe is occupied most
+// of the time and the storm's abort rate is high.
 //
-// The crossover the HybridPolicy threshold encodes, in this cost model: a
-// completed amortized passage costs ~base (5-6 RMRs) plus ~3 RMRs per
-// abandoned node it claims, i.e. base + 3*(STRANDED aborts per completion);
-// the paper lock's completed passage costs ~22 flat (part 1), so the
-// amortized lock keeps winning until stranded-aborts-per-completion reaches
-// ~(22-6)/3 ~ 5. The policy, though, observes the abort *rate*, which
-// counts every abort — and in a mark-and-retry storm almost no abort
-// strands, because the aborter's next attempt revives its own abandoned
-// node before any walker pays for it. Measured here: the stormy stripe's
-// phase-1 abort rate is 0.88 while the pure-amortized stormy completion
-// mean barely moves off the no-abort base (~5.8 RMRs) — nowhere near the
-// crossover. Observed rate only implies stranding when it approaches 1
-// (attempts that abort and never come back), so the bench pins the
-// threshold at 0.95: above any retrying storm, reserving the flip to the
-// paper lock for abandon-and-leave storms whose abandonments actually
-// strand. (Per-stripe phase-1 rates are printed and exported so the
-// re-choice's inputs are visible in the report.)
-// A mid-run resize(8) applies the re-choice; steady stripes stay amortized
-// either way. Gate: the hybrid configuration's mean completed-passage RMR
-// is no worse than either pure configuration. Both gates return a nonzero
-// exit code on regression so the CI bench smoke catches them, not just
-// crashes.
+// In this cost model a completed amortized passage costs ~base (5-6 RMRs)
+// plus ~3 RMRs per abandoned node it claims, and the paper lock's completed
+// passage costs ~22 flat (part 1). In a mark-and-retry storm almost no abort
+// strands — the aborter's next attempt revives its own abandoned node before
+// any walker pays for it — so the amortized stormy mean barely moves off the
+// no-abort base. Gate: the amortized stripes' mean completed-passage RMR is
+// at or below the paper stripes'. Both gates return a nonzero exit code on
+// regression so the CI bench smoke catches them, not just crashes.
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <deque>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "aml/baselines/baselines.hpp"
@@ -55,6 +45,7 @@
 #include "aml/model/counting_cc.hpp"
 #include "aml/pal/rng.hpp"
 #include "aml/sched/scheduler.hpp"
+#include "aml/table/hash.hpp"
 #include "aml/table/lock_table.hpp"
 
 namespace {
@@ -116,28 +107,69 @@ std::vector<std::uint64_t> amortized_steady(std::uint32_t n,
   return rmrs;
 }
 
-// --- Part 2: abort-storm Zipf against the three table configurations --------
+// --- Part 2: abort-storm Zipf through the table's striping, per lock -------
 
 constexpr Pid kProcs = 8;          // 3 steady + 5 stormy contenders
 constexpr Pid kSteadyProcs = 3;
-constexpr std::uint32_t kStripes1 = 4;   // phase 1; resized to kStripes2
+constexpr std::uint32_t kStripes1 = 4;   // phase 1; rebuilt to kStripes2
 constexpr std::uint32_t kStripes2 = 8;
 constexpr std::uint32_t kKeys = 64;
 constexpr double kTheta = 0.99;          // YCSB-default skew within a bucket
 constexpr std::uint32_t kPhaseRounds = 32;  // passages per process per phase
 constexpr std::uint32_t kStormPpm = 950000;  // stormy attempts marked (try-lock)
 constexpr std::uint32_t kHoldWords = 8;  // CS length: scratch reads per hold
-constexpr double kCrossoverRate = 0.95;  // see the crossover derivation above
 
-using CcTable = aml::table::LockTable<CountingCcModel>;
+using PaperLock = aml::table::LockTable<CountingCcModel>::StripeLock;
+using AmortizedLock = aml::baselines::JayantiAbortableLock<CountingCcModel>;
+
+bool acquired(bool granted) { return granted; }
+bool acquired(const aml::core::EnterResult& result) { return result.acquired; }
+
+/// LockTable's key -> stripe map over one lock type: stripe = key_hash(key)
+/// masked to the stripe count. grow() rebuilds the array wider and must only
+/// run while every process is quiesced (nothing held, nothing in flight).
+template <typename Lock>
+class StripeArray {
+ public:
+  StripeArray(CountingCcModel& model, std::uint32_t count) : model_(model) {
+    grow(count);
+  }
+
+  void grow(std::uint32_t count) {
+    locks_.clear();
+    for (std::uint32_t s = 0; s < count; ++s) {
+      if constexpr (std::is_same_v<Lock, AmortizedLock>) {
+        locks_.push_back(std::make_unique<Lock>(model_, kProcs));
+      } else {
+        locks_.push_back(std::make_unique<Lock>(
+            model_, typename Lock::Config{.nprocs = kProcs,
+                                          .w = 8,
+                                          .find = aml::core::Find::kAdaptive}));
+      }
+    }
+  }
+
+  bool enter(Pid p, std::uint64_t key, const std::atomic<bool>* signal) {
+    return acquired(lock_of(key).enter(p, signal));
+  }
+  void exit(Pid p, std::uint64_t key) { lock_of(key).exit(p); }
+
+ private:
+  Lock& lock_of(std::uint64_t key) {
+    const auto mask = static_cast<std::uint32_t>(locks_.size() - 1);
+    return *locks_[static_cast<std::uint32_t>(aml::table::key_hash(key)) &
+                   mask];
+  }
+
+  CountingCcModel& model_;
+  std::vector<std::unique_ptr<Lock>> locks_;
+};
 
 struct TableRun {
   std::vector<std::uint64_t> steady_rmrs;  // completed, steady contenders
   std::vector<std::uint64_t> stormy_rmrs;  // completed, stormy contenders
   std::uint64_t aborted = 0;
   std::uint64_t abort_rmrs = 0;
-  std::uint32_t paper_stripes_after_resize = 0;
-  std::vector<double> phase1_stripe_abort_rate;  // what HybridPolicy saw
 
   std::vector<std::uint64_t> all_completed() const {
     std::vector<std::uint64_t> all = steady_rmrs;
@@ -148,13 +180,14 @@ struct TableRun {
 
 /// Keys whose phase-1 stripe is in `want`. Stripe growth appends mask bits,
 /// so a phase-2 stripe's low bits still name the phase-1 parent: the
-/// steady/stormy partition survives the resize.
+/// steady/stormy partition survives the rebuild.
 std::vector<std::uint64_t> keys_on_stripes(
     std::initializer_list<std::uint32_t> want) {
   std::vector<std::uint64_t> keys;
   for (std::uint64_t key = 0; key < kKeys; ++key) {
     const std::uint32_t s =
-        static_cast<std::uint32_t>(CcTable::hash_of(key)) & (kStripes1 - 1);
+        static_cast<std::uint32_t>(aml::table::key_hash(key)) &
+        (kStripes1 - 1);
     for (std::uint32_t w : want) {
       if (s == w) {
         keys.push_back(key);
@@ -165,11 +198,12 @@ std::vector<std::uint64_t> keys_on_stripes(
   return keys;
 }
 
-void run_phase(CcTable& table, CountingCcModel& model,
+template <typename Lock>
+void run_phase(StripeArray<Lock>& table, CountingCcModel& model,
                CountingCcModel::Word* const* scratch, std::uint64_t seed,
                TableRun& out) {
   // Steady traffic spreads over stripes 0 and 2; the storm concentrates on
-  // stripe 1 (stripe 3 stays idle and just inherits its algorithm).
+  // stripe 1 (stripe 3 stays idle).
   const std::vector<std::uint64_t> steady_keys = keys_on_stripes({0, 2});
   const std::vector<std::uint64_t> stormy_keys = keys_on_stripes({1});
 
@@ -231,43 +265,17 @@ void run_phase(CcTable& table, CountingCcModel& model,
   }
 }
 
-TableRun run_table(aml::table::StripeAlgo algo, bool hybrid_enabled,
-                   std::uint64_t seed) {
+template <typename Lock>
+TableRun run_table(std::uint64_t seed) {
   CountingCcModel model(kProcs);
-  CcTable table(model, {.max_threads = kProcs,
-                        .stripes = kStripes1,
-                        .tree_width = 8,
-                        .find = aml::core::Find::kAdaptive,
-                        .algo = algo,
-                        .hybrid = {.enabled = hybrid_enabled,
-                                   .abort_rate_threshold = kCrossoverRate,
-                                   .min_samples = 16}});
+  StripeArray<Lock> table(model, kStripes1);
   std::vector<CountingCcModel::Word*> scratch(kHoldWords);
   for (auto& w : scratch) w = model.alloc(1, 0);
   model.reset_counters();
 
   TableRun out;
   run_phase(table, model, scratch.data(), seed, out);
-  // The per-stripe rates the resize's HybridPolicy re-choice will see.
-  for (std::uint32_t s = 0; s < table.stripe_count(); ++s) {
-    const auto st = table.stripe_stats(s);
-    const std::uint64_t attempts = st.acquisitions + st.aborts;
-    out.phase1_stripe_abort_rate.push_back(
-        attempts == 0 ? 0.0
-                      : static_cast<double>(st.aborts) /
-                            static_cast<double>(attempts));
-  }
-  // Quiesced between phases: the resize re-chooses per-stripe algorithms
-  // from phase-1 abort rates (a no-op re-choice for the pure configurations).
-  if (!table.resize(kStripes2)) {
-    std::fprintf(stderr, "resize(%u) refused\n", kStripes2);
-    std::exit(2);
-  }
-  for (std::uint32_t s = 0; s < table.stripe_count(); ++s) {
-    if (table.stripe_algo(s) == aml::table::StripeAlgo::kPaper) {
-      out.paper_stripes_after_resize++;
-    }
-  }
+  table.grow(kStripes2);  // quiesced between phases
   run_phase(table, model, scratch.data(), seed + 1, out);
   return out;
 }
@@ -305,66 +313,46 @@ int main() {
   }
   steady.print();
 
-  // Part 2: abort-storm Zipf through the table, three configurations.
-  const TableRun pure_paper =
-      run_table(aml::table::StripeAlgo::kPaper, /*hybrid=*/false, 7000);
-  const TableRun pure_amortized =
-      run_table(aml::table::StripeAlgo::kAmortized, /*hybrid=*/false, 7000);
-  const TableRun hybrid =
-      run_table(aml::table::StripeAlgo::kAmortized, /*hybrid=*/true, 7000);
+  // Part 2: abort-storm Zipf through the table's striping, one row per lock.
+  const TableRun pure_paper = run_table<PaperLock>(7000);
+  const TableRun pure_amortized = run_table<AmortizedLock>(7000);
 
   const Summary paper_s = summarize(pure_paper.all_completed());
   const Summary amort_s = summarize(pure_amortized.all_completed());
-  const Summary hybrid_s = summarize(hybrid.all_completed());
 
-  Table storm("Hybrid table — abort-storm Zipf, completed-passage RMR across "
+  Table storm("Striped table — abort-storm Zipf, completed-passage RMR across "
               "both phases");
   storm.headers({"config", "completed", "aborted", "mean RMR",
-                 "steady mean", "stormy mean", "paper stripes after resize"});
+                 "steady mean", "stormy mean"});
   const auto storm_row = [&](const char* name, const TableRun& r,
                              const Summary& s) {
     storm.row({name, Table::num(std::uint64_t{s.count}),
                Table::num(r.aborted), Table::num(s.mean),
                Table::num(summarize(r.steady_rmrs).mean),
-               Table::num(summarize(r.stormy_rmrs).mean),
-               Table::num(std::uint64_t{r.paper_stripes_after_resize})});
+               Table::num(summarize(r.stormy_rmrs).mean)});
   };
   storm_row("pure paper", pure_paper, paper_s);
   storm_row("pure amortized", pure_amortized, amort_s);
-  storm_row("hybrid", hybrid, hybrid_s);
   storm.print();
-  std::printf("\nphase-1 per-stripe abort rate (hybrid run, what the resize's "
-              "re-choice saw):\n");
-  for (std::uint32_t s = 0; s < hybrid.phase1_stripe_abort_rate.size(); ++s) {
-    std::printf("  stripe %u: %.3f\n", s, hybrid.phase1_stripe_abort_rate[s]);
-    br.sample("hybrid_phase1_stripe", static_cast<double>(s))
-        .sample("hybrid_phase1_abort_rate",
-                hybrid.phase1_stripe_abort_rate[s]);
-  }
   const std::uint64_t storm_attempts =
-      hybrid.stormy_rmrs.size() + hybrid.aborted;
+      pure_amortized.stormy_rmrs.size() + pure_amortized.aborted;
   const double storm_rate =
       storm_attempts == 0
           ? 0.0
-          : static_cast<double>(hybrid.aborted) /
+          : static_cast<double>(pure_amortized.aborted) /
                 static_cast<double>(storm_attempts);
-  std::printf("\nstorm abort rate (hybrid run) = %.3f (crossover threshold "
-              "%.2f)\n", storm_rate, kCrossoverRate);
+  std::printf("\nstorm abort rate (amortized run) = %.3f\n", storm_rate);
 
-  const bool part2_ok =
-      hybrid_s.mean <= paper_s.mean && hybrid_s.mean <= amort_s.mean;
+  const bool part2_ok = amort_s.mean <= paper_s.mean;
   br.summary("storm_paper_mean_rmr", paper_s.mean)
       .summary("storm_amortized_mean_rmr", amort_s.mean)
-      .summary("storm_hybrid_mean_rmr", hybrid_s.mean)
       .summary("storm_abort_rate", storm_rate)
-      .summary("hybrid_paper_stripes_after_resize",
-               std::uint64_t{hybrid.paper_stripes_after_resize})
       .summary("amortized_leq_paper_steady", std::uint64_t{part1_ok ? 1u : 0u})
-      .summary("hybrid_leq_both_storm", std::uint64_t{part2_ok ? 1u : 0u});
+      .summary("amortized_leq_paper_storm", std::uint64_t{part2_ok ? 1u : 0u});
 
   std::printf("\nsteady: amortized <= paper at every contention level: %s\n",
               part1_ok ? "yes" : "NO — regression");
-  std::printf("storm: hybrid <= min(pure paper, pure amortized): %s\n",
+  std::printf("storm: amortized <= paper: %s\n",
               part2_ok ? "yes" : "NO — regression");
   br.table(steady);
   br.table(storm);

@@ -42,7 +42,6 @@ struct MultiKeyResult {
   std::uint64_t completed = 0;
   std::uint64_t aborted = 0;
   std::uint64_t retries = 0;
-  std::uint64_t stripes_locked = 0;  // sum of |plan| over completed tx
 };
 
 MultiKeyResult run_multikey(std::uint32_t group, std::uint32_t abort_ppm,
@@ -96,12 +95,12 @@ MultiKeyResult run_multikey(std::uint32_t group, std::uint32_t abort_ppm,
     for (std::uint32_t t = 0; t < kTxPerProc; ++t) {
       std::vector<std::uint64_t> keys;
       for (std::uint32_t k = 0; k < group; ++k) keys.push_back(zipf(rng));
-      const std::vector<std::uint32_t> order = table.plan(keys);
+      const std::vector<std::uint64_t> hashes = table.plan_hashes(keys);
 
       signals[p].store(false, std::memory_order_release);
       wants[p].store(marked[p][t] ? 1 : 0, std::memory_order_release);
       const std::uint64_t r0 = counters.rmrs;
-      bool ok = table.enter_all(p, order, &signals[p]);
+      bool ok = table.enter_hashes(p, hashes, &signals[p]);
       wants[p].store(0, std::memory_order_release);
       if (!ok) {
         mine.aborted_rmrs.push_back(counters.rmrs - r0);
@@ -109,19 +108,17 @@ MultiKeyResult run_multikey(std::uint32_t group, std::uint32_t abort_ppm,
         // Deadline passed: back off (nothing held), retry unsignalled.
         mine.retries++;
         const std::uint64_t r1 = counters.rmrs;
-        ok = table.enter_all(p, order, nullptr);
+        ok = table.enter_hashes(p, hashes, nullptr);
         if (ok) {
-          table.exit_all(p, order);
+          table.exit_hashes(p, hashes);
           mine.complete_rmrs.push_back(counters.rmrs - r1);
           mine.completed++;
-          mine.stripes_locked += order.size();
         }
         continue;
       }
-      table.exit_all(p, order);
+      table.exit_hashes(p, hashes);
       mine.complete_rmrs.push_back(counters.rmrs - r0);
       mine.completed++;
-      mine.stripes_locked += order.size();
     }
   });
   model.set_hook(nullptr);
@@ -137,7 +134,6 @@ MultiKeyResult run_multikey(std::uint32_t group, std::uint32_t abort_ppm,
     result.completed += mine.completed;
     result.aborted += mine.aborted;
     result.retries += mine.retries;
-    result.stripes_locked += mine.stripes_locked;
   }
   return result;
 }

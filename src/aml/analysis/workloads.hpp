@@ -117,17 +117,15 @@ inline void oneshot_handoff(sched::ExecutionContext& ctx, bool inject) {
   }
 }
 
-/// Two competitors on one key of a single-stripe LockTable whose stripe
-/// starts on the amortized (Jayanti) lock; p2 raises p1's abort signal (a
-/// gated step) and then grows the table with a hybrid policy tuned to flip
-/// every new stripe to the paper lock (threshold 0, min_samples 0). p1
+/// Two competitors on one key of a single-stripe LockTable; p2 raises p1's
+/// abort signal (a gated step) and then grows the table to two stripes. p1
 /// retries after an abort, so its second passage can bridge into the
-/// new-generation paper stripe while p0 still holds the old amortized one —
-/// the dual-acquire bridge must preserve mutual exclusion *across lock
-/// algorithms*, and the amortized lock's abandon/revive/recycle transitions
-/// race the epoch switch. Failures: overlap in the CS, a lost wake-up
-/// (idle rescue), a TableGenOracle violation, or the resize not happening.
-inline void table_hybrid_resize_bridge(sched::ExecutionContext& ctx) {
+/// new-generation stripe while p0 still holds the old one — the dual-acquire
+/// bridge must preserve mutual exclusion across the epoch switch, with the
+/// paper lock's abort and re-entry racing it. Failures: overlap in the CS, a
+/// lost wake-up (idle rescue), a TableGenOracle violation, or the resize not
+/// happening.
+inline void table_resize_bridge(sched::ExecutionContext& ctx) {
   using Model = model::CountingCcModel;
   using Table = table::LockTable<Model>;
   constexpr Pid kProcs = 3;
@@ -137,12 +135,7 @@ inline void table_hybrid_resize_bridge(sched::ExecutionContext& ctx) {
   Table lock_table(m, {.max_threads = kProcs,
                        .stripes = 1,
                        .tree_width = 4,
-                       .find = core::Find::kPlain,
-                       .algo = table::StripeAlgo::kAmortized,
-                       .hybrid = {.enabled = true,
-                                  .abort_rate_threshold = 0.0,
-                                  .min_samples = 0}});
-
+                       .find = core::Find::kPlain});
   TableGenOracle<Table> gen_oracle(lock_table);
   ctx.scheduler().add_invariant_probe(
       [&gen_oracle] { return gen_oracle.check(); });
@@ -179,10 +172,9 @@ inline void table_hybrid_resize_bridge(sched::ExecutionContext& ctx) {
 
   ctx.run([&](Pid p) {
     if (p == 2) {
-      // A full passage first guarantees the parent stripe has at least one
-      // recorded attempt before the resize in *every* interleaving, so the
-      // zero-threshold hybrid policy deterministically flips both children
-      // to the paper lock (a zero-attempt parent inherits its algorithm).
+      // A full passage first: it races the others' passages on the old
+      // stripe, and leaves that stripe with a completed passage's state
+      // before the resize.
       passage(2, nullptr);
       m.raise_signal(p, *abort_sig);
       resized.store(lock_table.resize(2), std::memory_order_seq_cst);
@@ -192,9 +184,8 @@ inline void table_hybrid_resize_bridge(sched::ExecutionContext& ctx) {
       passage(0, &rescue[0]->flag);
       return;
     }
-    // p1: first attempt may abort on p2's signal; the retry exercises the
-    // amortized lock's revive/recycle path, possibly across the epoch
-    // switch into a paper-lock stripe.
+    // p1: first attempt may abort on p2's signal; the retry may cross the
+    // epoch switch and bridge both generations' stripes.
     if (!passage(1, &abort_sig->flag)) passage(1, &rescue[1]->flag);
   });
 
@@ -207,10 +198,8 @@ inline void table_hybrid_resize_bridge(sched::ExecutionContext& ctx) {
   if (!resized.load(std::memory_order_relaxed)) {
     ctx.fail("resize(2) unexpectedly refused");
   }
-  if (lock_table.epoch() != 1 ||
-      lock_table.stripe_algo(0) != table::StripeAlgo::kPaper ||
-      lock_table.stripe_algo(1) != table::StripeAlgo::kPaper) {
-    ctx.fail("hybrid policy did not flip the new generation to kPaper");
+  if (lock_table.epoch() != 1) {
+    ctx.fail("resize(2) did not advance the epoch to 1");
   }
 }
 
@@ -671,12 +660,12 @@ inline const std::vector<WorkloadInfo>& workload_registry() {
           },
       },
       {
-          "table-hybrid-resize-bridge",
-          "LockTable stripe switches amortized->paper across a mid-passage "
-          "resize; dual-acquire bridging must hold across algorithms",
+          "table-resize-bridge",
+          "LockTable grows mid-passage while an aborted passage retries; "
+          "dual-acquire bridging must keep one key's passages exclusive",
           3,
           [](sched::ExecutionContext& ctx) {
-            detail::table_hybrid_resize_bridge(ctx);
+            detail::table_resize_bridge(ctx);
           },
       },
   };

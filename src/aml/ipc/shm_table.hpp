@@ -285,25 +285,7 @@ class ShmNamedLockTable {
       // recovered and re-leased between the two calls is never claimed.
       if (victim == exec || !registry_.dead(victim)) continue;
       if (!registry_.try_claim_recovery(victim)) continue;
-      bool zombie = false;
-      for (auto& stripe : stripes_) {
-        switch (stripe->recover(exec, victim, self_os)) {
-          case RecoveryAction::kNone:
-            break;
-          case RecoveryAction::kForcedAbort:
-            stats_.forced_aborts++;
-            break;
-          case RecoveryAction::kForcedExit:
-            stats_.forced_exits++;
-            break;
-          case RecoveryAction::kResignalled:
-            stats_.resignals++;
-            break;
-          case RecoveryAction::kZombie:
-            zombie = true;
-            break;
-        }
-      }
+      const bool zombie = recover_stripes(exec, victim, self_os);
       cancel_deadlines(victim);
       registry_.finish_recovery(victim, zombie);
       repaired++;
@@ -382,28 +364,10 @@ class ShmNamedLockTable {
     if (id >= config_.nprocs) return std::nullopt;
     if (!registry_.try_reattach(id, prev_token)) return std::nullopt;
     const std::uint64_t self_os = static_cast<std::uint64_t>(::getpid());
-    bool zombie = false;
     // exec == victim is sound here: the old incarnation is dead and this
     // process holds its exclusive kRecovering claim, so this is the normal
     // proxy pattern with the proxy running under the owner's own pid.
-    for (auto& stripe : stripes_) {
-      switch (stripe->recover(id, id, self_os)) {
-        case RecoveryAction::kNone:
-          break;
-        case RecoveryAction::kForcedAbort:
-          stats_.forced_aborts++;
-          break;
-        case RecoveryAction::kForcedExit:
-          stats_.forced_exits++;
-          break;
-        case RecoveryAction::kResignalled:
-          stats_.resignals++;
-          break;
-        case RecoveryAction::kZombie:
-          zombie = true;
-          break;
-      }
-    }
+    const bool zombie = recover_stripes(id, id, self_os);
     cancel_deadlines(id);
     if (zombie) {
       registry_.finish_recovery(id, true);
@@ -575,6 +539,33 @@ class ShmNamedLockTable {
 
  private:
   friend class Session;
+
+  /// Run every stripe's recovery arm for `victim` as `exec` and tally the
+  /// outcomes in stats_. True iff some stripe found the victim in its
+  /// doorway-blind window (a zombie); the remaining stripes are still
+  /// repaired either way.
+  bool recover_stripes(Pid exec, Pid victim, std::uint64_t self_os) {
+    bool zombie = false;
+    for (auto& stripe : stripes_) {
+      switch (stripe->recover(exec, victim, self_os)) {
+        case RecoveryAction::kNone:
+          break;
+        case RecoveryAction::kForcedAbort:
+          stats_.forced_aborts++;
+          break;
+        case RecoveryAction::kForcedExit:
+          stats_.forced_exits++;
+          break;
+        case RecoveryAction::kResignalled:
+          stats_.resignals++;
+          break;
+        case RecoveryAction::kZombie:
+          zombie = true;
+          break;
+      }
+    }
+    return zombie;
+  }
 
   /// Construction replayed identically by both roles: the service header
   /// first (deterministic offset for peek_config), then the registry, the

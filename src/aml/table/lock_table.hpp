@@ -1,6 +1,5 @@
 // LockTable: a sharded named-lock service built from the paper's long-lived
-// abortable lock — and, per stripe, optionally from the Jayanti & Jayanti
-// constant-amortized-RMR lock instead (see "Algorithm-polymorphic stripes").
+// abortable lock.
 //
 // Keys (64-bit ids or strings) hash onto S cache-independent *stripes*; each
 // stripe owns one LongLivedLock (Section 6 transformation over the Section 3
@@ -65,38 +64,10 @@
 // attempts, double the stripe count (up to `max_stripes`). Full latency
 // histograms stay in the optional per-stripe obs::Metrics sinks.
 //
-// Stats are per generation: inflight/max_inflight start at zero in every new
-// generation, so a high-water mark earned *before* a grow can never re-fire
-// GrowPolicy right after it and double the table to max_stripes in one storm
-// (each further grow must be provoked by fresh contention on the new, wider
-// array). Acquisition/abort *rates*, by contrast, stay meaningful across a
-// grow: each new stripe is seeded with its parent stripe's totals divided by
-// the grow fan-out (a parent splits into nstripes/prev_count children, so the
-// children's inherited history sums back to the parent's), exposed as
-// StripeStatsView::inherited_* and folded into HybridPolicy decisions so a
-// freshly split stripe keeps its contention history until it earns its own.
-//
-// == Algorithm-polymorphic stripes (HybridPolicy) ==
-//
-// Each stripe lock is chosen per stripe at generation build time between two
-// algorithms with complementary cost signatures:
-//
-//   * StripeAlgo::kPaper — the paper's long-lived lock: worst-case adaptive
-//     O(log_W A) RMR per passage, robust under abort storms;
-//   * StripeAlgo::kAmortized — the Jayanti & Jayanti queue lock
-//     (baselines/jayanti.hpp): O(1) *amortized* RMR, cheaper on steady
-//     workloads, but a single passage can pay for a run of concurrent
-//     aborts.
-//
-// Config::algo picks the uniform default. When Config::hybrid.enabled, each
-// resize() re-chooses per stripe from the parent stripe's observed abort
-// rate (live totals + inherited seed): rate >= abort_rate_threshold selects
-// the paper lock, below it the amortized lock; stripes whose parents lack
-// min_samples attempts inherit the parent's algorithm unchanged. The drain's
-// dual-acquire bridging is algorithm-agnostic — an overlapping passage holds
-// the old stripe's lock whichever algorithm either generation uses — so
-// mutual exclusion is preserved across an algorithm switch (covered by the
-// table_hybrid_resize_bridge DPOR workload).
+// Stats are per generation and start at zero in every new generation, so a
+// high-water mark earned *before* a grow can never re-fire GrowPolicy right
+// after it and double the table to max_stripes in one storm (each further
+// grow must be provoked by fresh contention on the new, wider array).
 //
 // Multi-key acquisition (enter_hashes) sorts the distinct stripe indices and
 // acquires ascending, the standard total-order discipline that makes
@@ -109,10 +80,9 @@
 // (ThreadRegistry leases them) and must not re-enter a stripe it already
 // holds (the underlying lock is not reentrant); enter_hashes deduplicates
 // colliding keys within one call, so only *nested* separate calls can
-// self-collide. The key-based layer (enter/exit, enter_hashes/exit_hashes)
-// is safe concurrent with resize(); the raw stripe-index layer
-// (enter_stripe/exit_stripe, plan/enter_all/exit_all) addresses the current
-// generation only and must not run concurrently with resize.
+// self-collide. Every acquisition goes through a key hash (enter/exit,
+// enter_hash/exit_hash, enter_hashes/exit_hashes) and is safe concurrent
+// with resize().
 #pragma once
 
 #include <algorithm>
@@ -124,7 +94,6 @@
 #include <utility>
 #include <vector>
 
-#include "aml/baselines/jayanti.hpp"
 #include "aml/core/longlived.hpp"
 #include "aml/core/oneshot.hpp"
 #include "aml/core/versioned_space.hpp"
@@ -144,99 +113,11 @@ using model::Pid;
 /// its domain.
 inline constexpr std::uint32_t kMaxStripes = std::uint32_t{1} << 20;
 
-/// Per-stripe lock algorithm (see "Algorithm-polymorphic stripes" above).
-enum class StripeAlgo : std::uint8_t {
-  kPaper,      ///< paper long-lived lock: worst-case adaptive O(log_W A)
-  kAmortized,  ///< Jayanti & Jayanti queue lock: O(1) amortized RMR
-};
-
-/// Per-stripe algorithm re-choice policy, evaluated at every resize() the
-/// same way GrowPolicy is evaluated by maybe_grow(). Disabled by default:
-/// every stripe then inherits its parent's (ultimately Config::algo's)
-/// algorithm.
-struct HybridPolicy {
-  bool enabled = false;
-  /// Parent abort rate at/above which a new stripe gets the paper lock
-  /// (abort storms dominate); below it the amortized lock (steady traffic).
-  double abort_rate_threshold = 0.125;
-  /// Parent attempts (live + inherited) required to trust its rate; thin
-  /// parents pass their algorithm through unchanged.
-  std::uint64_t min_samples = 16;
-};
-
-/// A stripe lock that is one of the two algorithms, chosen at construction.
-/// Presents the long-lived lock interface the table (and NamedLockTable's
-/// sink binding) expects; the amortized lock's bool protocol is adapted to
-/// EnterResult with slot 0, and its grant/abort metrics are forwarded at this
-/// layer since the baseline itself is metrics-free.
-template <typename M, typename Metrics = obs::NullMetrics>
-class PolyStripeLock {
- public:
-  using PaperLock =
-      core::LongLivedLock<M, core::VersionedSpace, core::OneShotLock, Metrics>;
-  using AmortizedLock = baselines::JayantiAbortableLock<M>;
-  using Config = typename PaperLock::Config;
-
-  PolyStripeLock(M& mem, Config config, StripeAlgo algo) : algo_(algo) {
-    if (algo == StripeAlgo::kPaper) {
-      paper_ = std::make_unique<PaperLock>(mem, config);
-    } else {
-      amortized_ = std::make_unique<AmortizedLock>(mem, config.nprocs);
-    }
-  }
-
-  StripeAlgo algo() const { return algo_; }
-
-  core::EnterResult enter(Pid self, const std::atomic<bool>* signal) {
-    if (paper_ != nullptr) return paper_->enter(self, signal);
-    sink_.on_enter(self, 0);
-    core::EnterResult result;
-    result.acquired = amortized_->enter(self, signal);
-    result.slot = 0;
-    if (result.acquired) {
-      sink_.on_granted(self, result.slot);
-    } else {
-      sink_.on_abort(self, result.slot);
-    }
-    return result;
-  }
-
-  void exit(Pid self) {
-    if (paper_ != nullptr) {
-      paper_->exit(self);
-    } else {
-      sink_.on_exit(self, 0);
-      amortized_->exit(self);
-    }
-  }
-
-  /// Same binding contract as LongLivedLock::set_metrics: set before the
-  /// instrumented processes start (construction or resize()'s
-  /// on_stripe_built hook), never concurrent with passages.
-  void set_metrics(Metrics* sink) {
-    if (paper_ != nullptr) {
-      paper_->set_metrics(sink);
-    } else {
-      sink_.bind(sink);
-    }
-  }
-
-  /// Introspection: non-null exactly for the matching algo().
-  PaperLock* paper() { return paper_.get(); }
-  AmortizedLock* amortized() { return amortized_.get(); }
-
- private:
-  StripeAlgo algo_;
-  std::unique_ptr<PaperLock> paper_;
-  std::unique_ptr<AmortizedLock> amortized_;
-  [[no_unique_address]] obs::SinkHandle<Metrics> sink_;  ///< amortized path
-};
-
 template <typename M, typename Metrics = obs::NullMetrics>
 class LockTable {
  public:
-  using StripeLock = PolyStripeLock<M, Metrics>;
-  using PaperStripeLock = typename StripeLock::PaperLock;
+  using StripeLock =
+      core::LongLivedLock<M, core::VersionedSpace, core::OneShotLock, Metrics>;
   using MetricsSink = Metrics;
 
   struct Config {
@@ -244,8 +125,6 @@ class LockTable {
     std::uint32_t stripes = 16;  ///< S: rounded up to a power of two
     std::uint32_t tree_width = 64;  ///< W of each stripe's tree
     core::Find find = core::Find::kAdaptive;
-    StripeAlgo algo = StripeAlgo::kPaper;  ///< uniform default algorithm
-    HybridPolicy hybrid{};  ///< per-stripe re-choice on resize
   };
 
   /// Always-on per-stripe contention snapshot (see stripe_stats()).
@@ -254,8 +133,6 @@ class LockTable {
     std::uint64_t aborts = 0;        ///< attempts abandoned via the signal
     std::uint32_t inflight = 0;      ///< attempts running right now
     std::uint32_t max_inflight = 0;  ///< high-water mark of `inflight`
-    std::uint64_t inherited_attempts = 0;  ///< parent-seeded attempt history
-    std::uint64_t inherited_aborts = 0;    ///< parent-seeded abort history
   };
 
   /// Auto-grow policy evaluated by maybe_grow().
@@ -310,15 +187,6 @@ class LockTable {
   }
   std::uint32_t stripe_of(std::string_view key) const {
     return static_cast<std::uint32_t>(key_hash(key)) & cur().mask;
-  }
-
-  /// Direct access to a current-generation stripe's lock (introspection /
-  /// tests; not stable across resize).
-  StripeLock& stripe(std::uint32_t s) { return *cur_mut().stripes[s]; }
-
-  /// Algorithm of current-generation stripe `s` (not stable across resize).
-  StripeAlgo stripe_algo(std::uint32_t s) const {
-    return cur().stripes[s]->algo();
   }
 
   // --- single-key operations (resize-safe) ---------------------------------
@@ -453,56 +321,6 @@ class LockTable {
     AML_ASSERT(false, "exit_hashes: key set is not held by this thread");
   }
 
-  // --- raw stripe-index layer (current generation; NOT resize-safe) --------
-
-  /// Map keys to their distinct current-generation stripes, sorted ascending
-  /// — the acquisition order enter_all uses. Exposed so callers can pre-plan
-  /// (and tests can assert the discipline). Indices are only meaningful
-  /// while no resize intervenes.
-  template <typename Key>
-  std::vector<std::uint32_t> plan(const std::vector<Key>& keys) const {
-    std::vector<std::uint32_t> order;
-    order.reserve(keys.size());
-    for (const Key& key : keys) order.push_back(stripe_of(key));
-    std::sort(order.begin(), order.end());
-    order.erase(std::unique(order.begin(), order.end()), order.end());
-    return order;
-  }
-
-  bool enter_stripe(Pid self, std::uint32_t s,
-                    const std::atomic<bool>* signal = nullptr) {
-    return acquire_gen_stripe(cur_mut(), self, s, signal);
-  }
-
-  void exit_stripe(Pid self, std::uint32_t s) { cur_mut().stripes[s]->exit(self); }
-
-  /// Acquire every stripe in `order` (ascending, distinct — what plan()
-  /// produces). All-or-nothing: if the signal aborts any acquisition, the
-  /// stripes already held are released in reverse order and the call returns
-  /// false. With a null signal it cannot deadlock against other enter_all
-  /// callers (total order) and blocks until all stripes are held.
-  bool enter_all(Pid self, const std::vector<std::uint32_t>& order,
-                 const std::atomic<bool>* signal = nullptr) {
-    AML_DASSERT(std::is_sorted(order.begin(), order.end()) &&
-                    std::adjacent_find(order.begin(), order.end()) ==
-                        order.end(),
-                "enter_all order must be sorted and distinct (use plan())");
-    for (std::size_t i = 0; i < order.size(); ++i) {
-      if (!enter_stripe(self, order[i], signal)) {
-        while (i-- > 0) exit_stripe(self, order[i]);
-        return false;
-      }
-    }
-    return true;
-  }
-
-  /// Release every stripe in `order` (reverse acquisition order).
-  void exit_all(Pid self, const std::vector<std::uint32_t>& order) {
-    for (std::size_t i = order.size(); i-- > 0;) {
-      exit_stripe(self, order[i]);
-    }
-  }
-
   // --- resizing ------------------------------------------------------------
 
   /// Grow the stripe array to round_up_pow2(new_stripes). Non-blocking and
@@ -518,7 +336,7 @@ class LockTable {
                "resize target out of [1, kMaxStripes]");
     const std::uint32_t target = round_up_pow2(new_stripes);
     // Winning the exchange acquires the previous resizer's release below,
-    // so generation bookkeeping (gens_, seed stats) is owned exclusively.
+    // so generation bookkeeping (gens_) is owned exclusively.
     if (resizing_.exchange(true, std::memory_order_acq_rel)) {  // AML_X_EDGE(table.resize_guard)
       return false;
     }
@@ -576,8 +394,6 @@ class LockTable {
     view.aborts = st.aborts.load(std::memory_order_relaxed);  // AML_RELAXED(stats snapshot)
     view.inflight = st.inflight.load(std::memory_order_relaxed);  // AML_RELAXED(stats snapshot)
     view.max_inflight = st.max_inflight.load(std::memory_order_relaxed);  // AML_RELAXED(stats snapshot)
-    view.inherited_attempts = st.seed_attempts;
-    view.inherited_aborts = st.seed_aborts;
     return view;
   }
 
@@ -594,20 +410,12 @@ class LockTable {
     return peak;
   }
 
-  /// Bind one sink per current-generation stripe (sinks[s] -> stripe s; the
-  /// vector may be shorter, remaining stripes stay unbound). With per-stripe
-  /// sinks, contention, abort, and hand-off statistics roll up per shard,
-  /// which is how a lock service spots a hot key range. No-op for
-  /// NullMetrics. NOT thread-safe: must not run concurrent with enter/exit
-  /// or resize on this table (bind at construction, or through resize()'s
-  /// on_stripe_built hook).
-  void set_stripe_metrics(const std::vector<Metrics*>& sinks) {
-    Generation& g = cur_mut();
-    for (std::size_t s = 0; s < sinks.size() && s <= g.mask; ++s) {
-      g.stripes[s]->set_metrics(sinks[s]);
-    }
-  }
-
+  /// Bind `sink` to current-generation stripe `s`. With per-stripe sinks,
+  /// contention, abort, and hand-off statistics roll up per shard, which is
+  /// how a lock service spots a hot key range. No-op for NullMetrics. NOT
+  /// thread-safe: must not run concurrent with enter/exit or resize on this
+  /// table (bind at construction, or through resize()'s on_stripe_built
+  /// hook).
   void set_stripe_metrics(std::uint32_t s, Metrics* sink) {
     cur_mut().stripes[s]->set_metrics(sink);
   }
@@ -660,17 +468,11 @@ class LockTable {
 
  private:
   /// Always-on per-stripe counters (plain atomics: no model words, no RMRs).
-  /// The seed_* fields are the parent stripe's halved totals, written once at
-  /// generation build (before publication, hence plain) — rate history for
-  /// HybridPolicy, deliberately NOT counted by GrowPolicy (see "Contention
-  /// stats" in the header comment).
   struct StripeStats {
     std::atomic<std::uint64_t> acquisitions{0};
     std::atomic<std::uint64_t> aborts{0};
     std::atomic<std::uint32_t> inflight{0};
     std::atomic<std::uint32_t> max_inflight{0};
-    std::uint64_t seed_attempts = 0;
-    std::uint64_t seed_aborts = 0;
   };
 
   /// One stripe-array epoch. Old generations are kept (never freed before
@@ -714,31 +516,6 @@ class LockTable {
     return *current_.load(std::memory_order_acquire);  // AML_X_EDGE(table.gen_publish)
   }
 
-  /// Algorithm for a new stripe: the uniform default at construction;
-  /// across a resize, the parent's algorithm, re-chosen from the parent's
-  /// abort rate when HybridPolicy is enabled and the parent has enough
-  /// samples (live + inherited) to trust it.
-  StripeAlgo choose_algo(std::uint32_t s, Generation* prev) const {
-    if (prev == nullptr) return config_.algo;
-    const std::uint32_t parent = s & prev->mask;
-    StripeAlgo algo = prev->stripes[parent]->algo();
-    if (!config_.hybrid.enabled) return algo;
-    const StripeStats& pst = *prev->stats[parent];
-    const std::uint64_t live_aborts =
-        pst.aborts.load(std::memory_order_relaxed);  // AML_RELAXED(stats; resize guard owns the epoch)
-    const std::uint64_t aborts = live_aborts + pst.seed_aborts;
-    const std::uint64_t attempts =
-        pst.acquisitions.load(std::memory_order_relaxed) +  // AML_RELAXED(stats; resize guard owns the epoch)
-        live_aborts + pst.seed_attempts;
-    // attempts == 0 must inherit even when min_samples == 0: 0/0 is NaN and
-    // every NaN comparison is false, which would silently pick kAmortized.
-    if (attempts == 0 || attempts < config_.hybrid.min_samples) return algo;
-    const double rate =
-        static_cast<double>(aborts) / static_cast<double>(attempts);
-    return rate >= config_.hybrid.abort_rate_threshold ? StripeAlgo::kPaper
-                                                       : StripeAlgo::kAmortized;
-  }
-
   std::unique_ptr<Generation> make_generation(
       std::uint32_t nstripes, std::uint64_t epoch, Generation* prev,
       const StripeBuiltFn& on_stripe_built) {
@@ -748,32 +525,11 @@ class LockTable {
     gen->prev = prev;
     gen->stripes.reserve(nstripes);
     gen->stats = std::vector<pal::CachePadded<StripeStats>>(nstripes);
-    // Resize is grow-only over powers of two, so every parent stripe splits
-    // into exactly `fanout` children; dividing the carried-over totals by it
-    // keeps the children's inherited history summing to the parent's (a
-    // constant /2 would double-count on a >2x jump).
-    const std::uint64_t fanout =
-        prev != nullptr ? nstripes / (prev->mask + std::uint64_t{1}) : 1;
     for (std::uint32_t s = 0; s < nstripes; ++s) {
       gen->stripes.push_back(std::make_unique<StripeLock>(
-          mem_,
-          typename StripeLock::Config{.nprocs = config_.max_threads,
-                                      .w = config_.tree_width,
-                                      .find = config_.find},
-          choose_algo(s, prev)));
-      if (prev != nullptr) {
-        // Rate history carries over (split evenly across the parent's
-        // children); depth high-water marks deliberately do not — every
-        // further grow must be provoked by fresh contention.
-        const StripeStats& pst = *prev->stats[s & prev->mask];
-        StripeStats& st = *gen->stats[s];
-        const std::uint64_t pacq =
-            pst.acquisitions.load(std::memory_order_relaxed);  // AML_RELAXED(stats; resize guard owns the epoch)
-        const std::uint64_t pab =
-            pst.aborts.load(std::memory_order_relaxed);  // AML_RELAXED(stats; resize guard owns the epoch)
-        st.seed_attempts = (pst.seed_attempts + pacq + pab) / fanout;
-        st.seed_aborts = (pst.seed_aborts + pab) / fanout;
-      }
+          mem_, typename StripeLock::Config{.nprocs = config_.max_threads,
+                                            .w = config_.tree_width,
+                                            .find = config_.find}));
       if (on_stripe_built) on_stripe_built(s, *gen->stripes.back());
     }
     return gen;
@@ -862,45 +618,6 @@ class LockTable {
   std::atomic<Generation*> current_{nullptr};
   std::atomic<bool> resizing_{false};
   std::vector<pal::CachePadded<PidLocal>> locals_;
-};
-
-/// RAII single-stripe guard over a LockTable's raw stripe layer. Check
-/// owns() after construction (false means the signal aborted the attempt).
-/// Move transfers ownership: the moved-from guard owns nothing and its
-/// destructor/release() are no-ops. Not resize-safe (raw layer).
-template <typename Table>
-class StripeGuard {
- public:
-  StripeGuard(Table& table, Pid self, std::uint32_t s,
-              const std::atomic<bool>* signal = nullptr)
-      : table_(&table), self_(self), stripe_(s),
-        owns_(table.enter_stripe(self, s, signal)) {}
-
-  StripeGuard(StripeGuard&& o) noexcept
-      : table_(std::exchange(o.table_, nullptr)), self_(o.self_),
-        stripe_(o.stripe_), owns_(std::exchange(o.owns_, false)) {}
-  StripeGuard& operator=(StripeGuard&&) = delete;
-  StripeGuard(const StripeGuard&) = delete;
-  StripeGuard& operator=(const StripeGuard&) = delete;
-
-  ~StripeGuard() { release(); }
-
-  bool owns() const { return owns_; }
-  explicit operator bool() const { return owns_; }
-  std::uint32_t stripe() const { return stripe_; }
-
-  void release() {
-    if (owns_) {
-      table_->exit_stripe(self_, stripe_);
-      owns_ = false;
-    }
-  }
-
- private:
-  Table* table_;
-  Pid self_;
-  std::uint32_t stripe_;
-  bool owns_;
 };
 
 }  // namespace aml::table

@@ -23,11 +23,7 @@
 //     mirror of the lock's adaptive RMR bound. Guards address *keys* (their
 //     hashes), not stripe indices, so every guard stays valid across a grow:
 //     the underlying LockTable drains old-generation holders via per-epoch
-//     refcounts and a key never changes stripe mid-hold;
-//   * algorithm-polymorphic stripes: TableConfig::algo picks the stripe lock
-//     (paper adaptive vs Jayanti & Jayanti constant-amortized-RMR), and with
-//     TableConfig::hybrid enabled every (auto-)grow re-chooses per stripe
-//     from observed abort rates — see lock_table.hpp's header comment.
+//     refcounts and a key never changes stripe mid-hold.
 //
 // Usage:
 //
@@ -73,9 +69,6 @@ struct TableConfig {
   std::uint32_t max_stripes = 1024; ///< auto-grow ceiling
   std::uint32_t grow_inflight_threshold = 4;  ///< stripe depth = "hot"
   std::uint32_t grow_check_interval = 64;     ///< ops between policy checks
-  // --- algorithm-polymorphic stripes (see lock_table.hpp) ----------------
-  StripeAlgo algo = StripeAlgo::kPaper;  ///< uniform default stripe lock
-  HybridPolicy hybrid{};  ///< per-stripe re-choice on every (auto-)grow
 };
 
 template <typename Metrics = obs::NullMetrics>
@@ -90,9 +83,7 @@ class BasicNamedLockTable {
       : config_(config), model_(config.max_threads),
         table_(model_, {.max_threads = config.max_threads,
                         .stripes = config.stripes,
-                        .tree_width = config.tree_width,
-                        .algo = config.algo,
-                        .hybrid = config.hybrid}),
+                        .tree_width = config.tree_width}),
         registry_(config.max_threads),
         signals_(config.max_threads) {
     if constexpr (Metrics::kEnabled) {
@@ -139,12 +130,6 @@ class BasicNamedLockTable {
   }
   std::uint32_t stripe_of(std::string_view key) const {
     return table_.stripe_of(key);
-  }
-
-  /// Algorithm of current-generation stripe `s` (may change across a grow
-  /// when TableConfig::hybrid is enabled).
-  StripeAlgo stripe_algo(std::uint32_t s) const {
-    return table_.stripe_algo(s);
   }
 
   /// Per-stripe sink (enabled flavor only; see ObservedNamedLockTable).

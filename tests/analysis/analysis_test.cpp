@@ -367,14 +367,13 @@ TEST(OracleFire, TableGenOracleCatchesPinnedRetiredGeneration) {
 
 // --- oracles stay silent on legal executions --------------------------------
 
-TEST(OracleQuiet, HybridResizeBridgeFullExplorationNeverFires) {
-  // The table-hybrid-resize-bridge workload overlaps two passages on one
-  // key while a resize flips the stripe from the amortized lock to the
-  // paper lock (and p1's abort/retry exercises abandon/revive across the
-  // switch). DPOR-complete exploration must find no mutex violation, no
-  // lost wake-up, and no generation-protocol violation — the dual-acquire
-  // bridge is algorithm-agnostic.
-  const auto* wl = find_workload("table-hybrid-resize-bridge");
+TEST(OracleQuiet, ResizeBridgeFullExplorationNeverFires) {
+  // The table-resize-bridge workload overlaps two passages on one key while
+  // a resize grows the table under them (and p1's abort/retry can cross the
+  // epoch switch). DPOR-complete exploration must find no mutex violation,
+  // no lost wake-up, and no generation-protocol violation — the
+  // dual-acquire bridge keeps one key's passages on a shared stripe lock.
+  const auto* wl = find_workload("table-resize-bridge");
   ASSERT_NE(wl, nullptr);
   sched::ExploreConfig config;
   config.nprocs = wl->nprocs;

@@ -3,6 +3,7 @@
 // multi-key acquisition, abort-path release, and replay determinism.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -37,14 +38,22 @@ TEST(LockTableModel, StripeMapIsStableAndInRange) {
 TEST(LockTableModel, PlanSortsAndDeduplicates) {
   CountingCcModel mem(2);
   CcTable table(mem, {.max_threads = 2, .stripes = 4});
-  // Enough keys that some certainly collide on 4 stripes.
+  // Enough keys that many collide on 4 stripes: the plan is per key hash,
+  // not per stripe, so collisions stay distinct entries.
   std::vector<std::uint64_t> keys;
   for (std::uint64_t k = 0; k < 32; ++k) keys.push_back(k);
-  const std::vector<std::uint32_t> order = table.plan(keys);
-  EXPECT_TRUE(std::is_sorted(order.begin(), order.end()));
-  EXPECT_EQ(std::adjacent_find(order.begin(), order.end()), order.end());
-  EXPECT_LE(order.size(), 4u);
-  EXPECT_GE(order.size(), 1u);
+  keys.push_back(7);  // a duplicate key collapses to one hash
+  const std::vector<std::uint64_t> hashes = table.plan_hashes(keys);
+  EXPECT_TRUE(std::is_sorted(hashes.begin(), hashes.end()));
+  EXPECT_EQ(std::adjacent_find(hashes.begin(), hashes.end()), hashes.end());
+  EXPECT_EQ(hashes.size(), 32u);
+}
+
+// Returns a key whose current-generation stripe is `s`.
+std::uint64_t key_on_stripe(const CcTable& table, std::uint32_t s) {
+  for (std::uint64_t k = 0;; ++k) {
+    if (table.stripe_of(k) == s) return k;
+  }
 }
 
 // Zipfian keys, every process contending: per-stripe mutual exclusion holds
@@ -81,7 +90,7 @@ TEST(LockTableModel, PerStripeMutualExclusion) {
   EXPECT_FALSE(violation.load());
 }
 
-// Multi-key acquisition: all stripes of the plan are held simultaneously.
+// Multi-key acquisition: every stripe of the key set is held simultaneously.
 TEST(LockTableModel, EnterAllHoldsEveryStripe) {
   constexpr Pid kProcs = 3;
   CountingCcModel mem(kProcs);
@@ -99,39 +108,46 @@ TEST(LockTableModel, EnterAllHoldsEveryStripe) {
     for (std::uint32_t r = 0; r < 8; ++r) {
       std::vector<std::uint64_t> keys{rng.below(64), rng.below(64),
                                       rng.below(64)};
-      const std::vector<std::uint32_t> order = table.plan(keys);
-      ASSERT_TRUE(table.enter_all(p, order));
-      for (const std::uint32_t s : order) {
+      const std::vector<std::uint64_t> hashes = table.plan_hashes(keys);
+      std::vector<std::uint32_t> stripes;
+      for (const std::uint64_t key : keys) {
+        stripes.push_back(table.stripe_of(key));
+      }
+      std::sort(stripes.begin(), stripes.end());
+      stripes.erase(std::unique(stripes.begin(), stripes.end()), stripes.end());
+      ASSERT_TRUE(table.enter_hashes(p, hashes));
+      for (const std::uint32_t s : stripes) {
         if (in_cs[s].fetch_add(1, std::memory_order_acq_rel) != 0) {
           violation.store(true, std::memory_order_release);
         }
       }
-      for (const std::uint32_t s : order) {
+      for (const std::uint32_t s : stripes) {
         in_cs[s].fetch_sub(1, std::memory_order_acq_rel);
       }
-      table.exit_all(p, order);
+      table.exit_hashes(p, hashes);
     }
   });
   mem.set_hook(nullptr);
   EXPECT_FALSE(violation.load());
 }
 
-// All-or-nothing: p1's enter_all crosses a stripe p0 holds; p1's abort
+// All-or-nothing: p1's enter_hashes crosses a stripe p0 holds; p1's abort
 // signal is raised while it waits, and every stripe p1 had already taken
 // must be released — p1 then re-acquires each singly (a leak would park p1
 // forever and the scheduler would abort on the liveness violation).
-TEST(LockTableModel, EnterAllAbortReleasesPrefix) {
+TEST(LockTableModel, EnterHashesAbortReleasesPrefix) {
   constexpr Pid kProcs = 2;
   CountingCcModel mem(kProcs);
   CcTable table(mem, {.max_threads = kProcs, .stripes = 8, .tree_width = 8});
 
-  // Find a key for p0 whose stripe sits strictly inside p1's plan, so p1
-  // acquires at least one stripe before blocking on p0's.
-  std::vector<std::uint32_t> all_stripes;
+  // One key per stripe, so p1's ascending sweep acquires stripes 0..3 before
+  // blocking on p0's key at stripe 4.
+  std::vector<std::uint64_t> keys;
   for (std::uint32_t s = 0; s < table.stripe_count(); ++s) {
-    all_stripes.push_back(s);
+    keys.push_back(key_on_stripe(table, s));
   }
   const std::uint32_t blocked_stripe = 4;
+  const std::vector<std::uint64_t> hashes = table.plan_hashes(keys);
   std::atomic<bool> p1_aborted{false};
 
   CountingCcModel::Word* gate = mem.alloc(1, 0);
@@ -162,20 +178,20 @@ TEST(LockTableModel, EnterAllAbortReleasesPrefix) {
   mem.set_hook(&scheduler);
   scheduler.run([&](Pid p) {
     if (p == 0) {
-      ASSERT_TRUE(table.enter_stripe(0, blocked_stripe));
+      ASSERT_TRUE(table.enter(0, keys[blocked_stripe]));
       mem.wait(
           0, *gate, [](std::uint64_t v) { return v != 0; }, nullptr);
-      table.exit_stripe(0, blocked_stripe);
+      table.exit(0, keys[blocked_stripe]);
     } else {
-      const bool ok = table.enter_all(1, all_stripes, &signals[1]);
+      const bool ok = table.enter_hashes(1, hashes, &signals[1]);
       EXPECT_FALSE(ok);
       p1_aborted.store(true, std::memory_order_release);
       // Every stripe below blocked_stripe was acquired and must have been
       // released; re-acquire each one singly. A leaked stripe deadlocks here
       // and the scheduler hard-aborts.
       for (std::uint32_t s = 0; s < blocked_stripe; ++s) {
-        ASSERT_TRUE(table.enter_stripe(1, s));
-        table.exit_stripe(1, s);
+        ASSERT_TRUE(table.enter(1, keys[s]));
+        table.exit(1, keys[s]);
       }
     }
   });

@@ -221,37 +221,46 @@ TEST(TableNativeStress, ZipfDeadlineStormWithSessionChurn) {
   EXPECT_GE(sink_acquisitions, granted.load() + tx_done.load());
 }
 
-// StripeGuard move semantics: ownership transfers exactly once — the
-// moved-from guard must not double-exit (a double exit corrupts the
-// underlying lock's hand-off state and AML_DASSERTs in debug builds).
-TEST(TableNative, StripeGuardMoveTransfersOwnership) {
-  model::NativeModel mem(2);
-  LockTable<model::NativeModel> table(
-      mem, {.max_threads = 2, .stripes = 4, .tree_width = 8});
+// Guard move semantics: ownership transfers exactly once. The moved-from
+// guard's release() must be a no-op — a second exit_hash/exit_hashes on a
+// key the thread no longer holds trips the table's hold-record assert — and
+// the moved-to guard's exit must happen, or the re-acquire below could never
+// be granted. A timed attempt that expires returns an empty optional and
+// leaves nothing held behind.
+TEST(TableNative, GuardMoveTransfersOwnership) {
+  NamedLockTable table({.max_threads = 2, .stripes = 4});
+  auto owner = table.open_session();
+  auto other = table.open_session();
+  const std::uint64_t key = 7;
+  const std::vector<std::uint64_t> keys{1, 2, 3};
 
   {
-    StripeGuard<LockTable<model::NativeModel>> g(table, 0, 1);
-    ASSERT_TRUE(g.owns());
-    StripeGuard<LockTable<model::NativeModel>> moved(std::move(g));
-    EXPECT_TRUE(moved.owns());
-    EXPECT_FALSE(g.owns());  // NOLINT(bugprone-use-after-move): spec'd state
-    g.release();             // no-op on the husk, must not touch the stripe
-    EXPECT_EQ(moved.stripe(), 1u);
-  }  // both destructors run; only `moved` exits the stripe
+    auto g = owner.acquire(key);
+    auto moved(std::move(g));
+    g.release();  // NOLINT(bugprone-use-after-move): spec'd no-op husk
+    EXPECT_EQ(moved.key_hash(), NamedLockTable::Table::hash_of(key));
+  }  // both destructors run; only `moved` exits
+  auto again = other.try_acquire_for(key, 100ms);
+  ASSERT_TRUE(again.has_value());
+  again->release();
 
-  // The stripe is free again (a double exit would have tripped the lock's
-  // hand-off bookkeeping; re-acquiring proves single release).
-  StripeGuard<LockTable<model::NativeModel>> again(table, 1, 1);
-  EXPECT_TRUE(again.owns());
-
-  // An aborted guard never owns and its destructor must not exit either.
-  StripeGuard<LockTable<model::NativeModel>> holder(table, 0, 2);
-  std::atomic<bool> raised{true};
   {
-    StripeGuard<LockTable<model::NativeModel>> loser(table, 1, 2, &raised);
-    EXPECT_FALSE(loser.owns());
+    auto tx = owner.acquire_all(keys);
+    auto moved(std::move(tx));
+    tx.release();  // NOLINT(bugprone-use-after-move): spec'd no-op husk
+    EXPECT_EQ(moved.key_hashes().size(), keys.size());
   }
-  holder.release();
+  auto tx_again = other.try_acquire_all_for(keys, 100ms);
+  ASSERT_TRUE(tx_again.has_value());
+  tx_again->release();
+
+  // An expired attempt holds nothing: once the holder lets go, the holder
+  // can take the key straight back (a leaked hold by `other` would block it).
+  auto held = owner.acquire(key);
+  EXPECT_FALSE(other.try_acquire_for(key, 1ms).has_value());
+  held.release();
+  auto retaken = owner.try_acquire_for(key, 100ms);
+  EXPECT_TRUE(retaken.has_value());
 }
 
 // Grow end to end on hardware: manufactured contention trips the policy
@@ -298,57 +307,6 @@ TEST(TableNative, AutoGrowKeepsHeldGuardExclusive) {
 
   auto after = holder.try_acquire_for(std::uint64_t{5}, 100ms);
   EXPECT_TRUE(after.has_value());
-}
-
-// Amortized stripes through the service layer: a NamedLockTable configured
-// with StripeAlgo::kAmortized serves blocking, timed, and multi-key traffic,
-// and a hybrid-policy grow flips a stormy stripe to the paper lock while a
-// guard from the old generation stays exclusive.
-TEST(TableNative, AmortizedStripesAndHybridGrow) {
-  NamedLockTable table({.max_threads = 4,
-                        .stripes = 2,
-                        .auto_grow = false,
-                        .max_stripes = 16,
-                        .grow_inflight_threshold = 1,
-                        .grow_check_interval = 1,
-                        .algo = StripeAlgo::kAmortized,
-                        .hybrid = {.enabled = true,
-                                   .abort_rate_threshold = 0.5,
-                                   .min_samples = 2}});
-  for (std::uint32_t s = 0; s < table.stripe_count(); ++s) {
-    EXPECT_EQ(table.stripe_algo(s), StripeAlgo::kAmortized);
-  }
-  auto holder = table.open_session();
-  const std::uint64_t key = 5;
-  auto held = holder.acquire(key);
-
-  // Abort storm on the held key's amortized stripe: rate 2/2 over threshold.
-  std::thread contender([&] {
-    auto session = table.open_session();
-    EXPECT_FALSE(session.try_acquire_for(key, 2ms).has_value());
-    EXPECT_FALSE(session.try_acquire_for(key, 2ms).has_value());
-  });
-  contender.join();
-
-  ASSERT_TRUE(table.try_grow());
-  EXPECT_EQ(table.stripe_count(), 4u);
-  // The stormy stripe's children run the paper lock now; the old-generation
-  // guard still excludes a bridged contender.
-  EXPECT_EQ(table.stripe_algo(table.stripe_of(key)), StripeAlgo::kPaper);
-  std::thread post_grow([&] {
-    auto session = table.open_session();
-    EXPECT_FALSE(session.try_acquire_for(key, 2ms).has_value());
-  });
-  post_grow.join();
-  held.release();
-  EXPECT_FALSE(table.draining());
-
-  auto after = holder.try_acquire_for(key, 100ms);
-  EXPECT_TRUE(after.has_value());
-  after->release();
-  auto tx = holder.try_acquire_all_for(std::vector<std::uint64_t>{1, 2, 3},
-                                       100ms, 5ms);
-  EXPECT_TRUE(tx.has_value());
 }
 
 // Auto-grow under churn: Zipf-hot blocking traffic on a deliberately tiny

@@ -326,147 +326,5 @@ TEST(LockTableResize, NoRunawayDoubleGrowAfterDrain) {
   EXPECT_EQ(table.epoch(), 2u);
 }
 
-// Returns a key whose current-generation stripe is `s`.
-std::uint64_t key_on_stripe(const CcTable& table, std::uint32_t s) {
-  for (std::uint64_t k = 0;; ++k) {
-    if (table.stripe_of(k) == s) return k;
-  }
-}
-
-// HybridPolicy: a resize re-chooses each new stripe's algorithm from its
-// parent's abort rate — storms flip to the paper lock, steady stripes stay
-// amortized, thin samples inherit unchanged — and acquisition/abort *rate*
-// history carries over (halved) while depth marks do not.
-TEST(LockTableResize, HybridPolicyRechoosesPerStripeOnGrow) {
-  CountingCcModel mem(2);
-  CcTable table(mem, {.max_threads = 2,
-                      .stripes = 4,
-                      .tree_width = 8,
-                      .algo = StripeAlgo::kAmortized,
-                      .hybrid = {.enabled = true,
-                                 .abort_rate_threshold = 0.5,
-                                 .min_samples = 4}});
-  for (std::uint32_t s = 0; s < 4; ++s) {
-    EXPECT_EQ(table.stripe_algo(s), StripeAlgo::kAmortized);
-  }
-  std::atomic<bool> raised{true};
-
-  // Stripe 0: steady — 5 clean passages, abort rate 0.
-  const std::uint64_t steady = key_on_stripe(table, 0);
-  for (int i = 0; i < 5; ++i) {
-    ASSERT_TRUE(table.enter(0, steady));
-    table.exit(0, steady);
-  }
-
-  // Stripe 1: storm — 1 hold, 4 aborted attempts: rate 4/5 >= 0.5.
-  const std::uint64_t stormy = key_on_stripe(table, 1);
-  ASSERT_TRUE(table.enter(0, stormy));
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_FALSE(table.enter(1, stormy, &raised));
-  }
-  table.exit(0, stormy);
-
-  // Stripe 2: thin — 2 attempts, all aborted, below min_samples.
-  const std::uint64_t thin = key_on_stripe(table, 2);
-  ASSERT_TRUE(table.enter(0, thin));
-  for (int i = 0; i < 2; ++i) {
-    EXPECT_FALSE(table.enter(1, thin, &raised));
-  }
-  table.exit(0, thin);
-
-  ASSERT_TRUE(table.resize(8));
-  EXPECT_FALSE(table.draining());
-
-  // Children of stripe s are stripes s and s+4 of the new generation.
-  EXPECT_EQ(table.stripe_algo(0), StripeAlgo::kAmortized);  // steady stays
-  EXPECT_EQ(table.stripe_algo(4), StripeAlgo::kAmortized);
-  EXPECT_EQ(table.stripe_algo(1), StripeAlgo::kPaper);  // storm flips
-  EXPECT_EQ(table.stripe_algo(5), StripeAlgo::kPaper);
-  EXPECT_EQ(table.stripe_algo(2), StripeAlgo::kAmortized);  // thin inherits
-  EXPECT_EQ(table.stripe_algo(6), StripeAlgo::kAmortized);
-
-  // Rate history carried over, halved; live counters and depth marks fresh.
-  const auto child = table.stripe_stats(1);
-  EXPECT_EQ(child.inherited_attempts, 2u);  // (1 acq + 4 aborts) / 2
-  EXPECT_EQ(child.inherited_aborts, 2u);
-  EXPECT_EQ(child.acquisitions, 0u);
-  EXPECT_EQ(child.aborts, 0u);
-  EXPECT_EQ(child.max_inflight, 0u);
-
-  // Both algorithms function post-switch: a passage through a flipped
-  // stripe and a stayed stripe.
-  ASSERT_TRUE(table.enter(0, stormy));
-  table.exit(0, stormy);
-  ASSERT_TRUE(table.enter(0, steady));
-  table.exit(0, steady);
-}
-
-// The randomized mid-run-resize soak again, this time with every stripe on
-// the amortized lock and the hybrid policy armed: per-key exclusion,
-// starvation freedom, and the generation protocol hold regardless of which
-// algorithm guards a stripe.
-TEST(LockTableResize, RandomizedMidRunResizeAmortizedStripes) {
-  constexpr Pid kProcs = 4;
-  constexpr std::uint32_t kKeys = 16;
-  constexpr std::uint32_t kRounds = 10;
-  CountingCcModel mem(kProcs);
-  CcTable table(mem, {.max_threads = kProcs,
-                      .stripes = 2,
-                      .tree_width = 8,
-                      .algo = StripeAlgo::kAmortized,
-                      .hybrid = {.enabled = true}});
-
-  std::deque<std::atomic<int>> in_cs(kKeys);
-  std::atomic<bool> violation{false};
-  bool resized = false;
-  // The audited history, recorded through a sink's hooks around each
-  // table call (one ring per pid).
-  obs::Metrics log(kProcs, /*ring_capacity=*/4 * kRounds * kProcs);
-
-  sched::StepScheduler::Config cfg;
-  cfg.seed = 33;
-  sched::StepScheduler scheduler(kProcs, std::move(cfg));
-  scheduler.set_step_callback([&](std::uint64_t step) {
-    // >= rather than ==: amortized passages take far fewer gated steps than
-    // paper-lock passages, so a fixed late step number may never be reached.
-    if (!resized && step >= 150) {
-      resized = true;
-      EXPECT_TRUE(table.resize(8));
-    }
-  });
-
-  analysis::TableGenOracle<CcTable> gen_oracle(table);
-  scheduler.add_invariant_probe([&gen_oracle] { return gen_oracle.check(); });
-
-  mem.set_hook(&scheduler);
-  const auto result = scheduler.run([&](Pid p) {
-    pal::ZipfDistribution zipf(kKeys, 0.99);
-    pal::Xoshiro256 rng(p * 257 + 11);
-    for (std::uint32_t r = 0; r < kRounds; ++r) {
-      const std::uint64_t key = zipf(rng);
-      log.on_enter(p, 0);
-      ASSERT_TRUE(table.enter(p, key));
-      log.on_granted(p, 0);
-      if (in_cs[key].fetch_add(1, std::memory_order_acq_rel) != 0) {
-        violation.store(true, std::memory_order_release);
-      }
-      in_cs[key].fetch_sub(1, std::memory_order_acq_rel);
-      log.on_exit(p, 0);
-      table.exit(p, key);
-    }
-  });
-  mem.set_hook(nullptr);
-
-  EXPECT_TRUE(result.violation.empty()) << result.violation;
-  const harness::AuditReport audit =
-      harness::audit_long_lived(log.ring_snapshot());
-  EXPECT_TRUE(audit.starvation_ok) << audit.to_string();
-  EXPECT_EQ(audit.unresolved_attempts, 0u);
-  EXPECT_FALSE(violation.load());
-  EXPECT_TRUE(resized);
-  EXPECT_EQ(table.stripe_count(), 8u);
-  EXPECT_FALSE(table.draining());
-}
-
 }  // namespace
 }  // namespace aml::table

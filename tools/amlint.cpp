@@ -1013,8 +1013,9 @@ bool in_edge_scope(const std::string& rel) {
 
 bool in_model_gated(const std::string& rel) {
   // core/ runs under the DPOR explorer wholesale; of the baselines only the
-  // Jayanti amortized lock is model-checked (the table's hybrid stripes embed
-  // it), so it carries the same no-plain-atomics discipline.
+  // Jayanti amortized lock is model-checked (the jayanti-abandon-epochs
+  // workload explores it), so it carries the same no-plain-atomics
+  // discipline.
   return rel.find("core/") != std::string::npos ||
          rel.find("baselines/jayanti") != std::string::npos;
 }
