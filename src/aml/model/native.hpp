@@ -18,6 +18,10 @@
 // runs both and gates the relaxed path against the seq_cst twin, so the
 // relaxation's value stays measured, not assumed.
 //
+// NativeOps<Relaxed> is the word and its operations; it allocates nothing.
+// BasicNativeModel adds heap allocation, ipc::ShmSpace adds allocation out of
+// a shared-memory arena, so both word spaces run the same operations.
+//
 // This model performs no accounting; instantiating the lock templates with
 // it yields the deployable library (aml::AbortableLock).
 #pragma once
@@ -40,43 +44,23 @@ namespace aml::model {
 /// acquire/release hardware orders; false lowers everything to seq_cst,
 /// reproducing the conservative pre-relaxation model for A/B measurement.
 template <bool Relaxed>
-class BasicNativeModel {
+class NativeOps {
  public:
   /// One shared word. Padded to a cache line so that the per-slot spin words
-  /// of the queue lock do not false-share, which the CC cost model assumes.
+  /// of the queue lock do not false-share, which the CC cost model assumes —
+  /// across processes too, when the word lives in a shm arena.
+  // AML_SHM_REGION_BEGIN
   struct alignas(pal::kCacheLine) Word {
     std::atomic<std::uint64_t> v{0};
   };
+  // AML_SHM_REGION_END
 
-  explicit BasicNativeModel(Pid nprocs = 1) : nprocs_(nprocs) {}
+  explicit NativeOps(Pid nprocs) : nprocs_(nprocs) {}
 
-  BasicNativeModel(const BasicNativeModel&) = delete;
-  BasicNativeModel& operator=(const BasicNativeModel&) = delete;
+  NativeOps(const NativeOps&) = delete;
+  NativeOps& operator=(const NativeOps&) = delete;
 
   Pid nprocs() const { return nprocs_; }
-
-  /// Allocate `n` *contiguous* words initialized to `init`. Each request is
-  /// its own block, so addresses are stable for the model's lifetime and
-  /// w[0..n) is valid pointer arithmetic.
-  Word* alloc(std::size_t n, std::uint64_t init = 0) {
-    std::lock_guard<std::mutex> guard(alloc_mu_);
-    blocks_.emplace_back(n);
-    std::vector<Word>& block = blocks_.back();
-    for (std::size_t i = 0; i < n; ++i) {
-      // Pre-publication: the block escapes only through the caller's own
-      // pointer; sharing it with other processes is the caller's edge.
-      block[i].v.store(init, std::memory_order_relaxed);  // AML_RELAXED(init before the block is shared)
-    }
-    total_words_ += n;
-    return block.data();
-  }
-
-  /// Locality-annotated allocation (DSM vocabulary). Native hardware has no
-  /// permanent locality, so this forwards to alloc(); it exists so that the
-  /// DSM lock variant instantiates on every model.
-  Word* alloc_owned(Pid /*owner*/, std::size_t n, std::uint64_t init = 0) {
-    return alloc(n, init);
-  }
 
   // --- base vocabulary (seq_cst, the paper's register model) -------------
 
@@ -170,7 +154,7 @@ class BasicNativeModel {
     }
   }
 
-  /// Two-word busy-wait (see CountingCcModel::wait_either).
+  /// Two-word busy-wait (see CountingModel::wait_either).
   template <typename Pred1, typename Pred2>
   WaitOutcome2 wait_either(Pid, Word& w1, Pred1&& pred1, Word& w2,
                            Pred2&& pred2,
@@ -197,6 +181,41 @@ class BasicNativeModel {
     }
   }
 
+ private:
+  Pid nprocs_;
+};
+
+/// The in-process model: NativeOps over heap-allocated words.
+template <bool Relaxed>
+class BasicNativeModel : public NativeOps<Relaxed> {
+ public:
+  using Word = typename NativeOps<Relaxed>::Word;
+
+  explicit BasicNativeModel(Pid nprocs = 1) : NativeOps<Relaxed>(nprocs) {}
+
+  /// Allocate `n` *contiguous* words initialized to `init`. Each request is
+  /// its own block, so addresses are stable for the model's lifetime and
+  /// w[0..n) is valid pointer arithmetic.
+  Word* alloc(std::size_t n, std::uint64_t init = 0) {
+    std::lock_guard<std::mutex> guard(alloc_mu_);
+    blocks_.emplace_back(n);
+    std::vector<Word>& block = blocks_.back();
+    for (std::size_t i = 0; i < n; ++i) {
+      // Pre-publication: the block escapes only through the caller's own
+      // pointer; sharing it with other processes is the caller's edge.
+      block[i].v.store(init, std::memory_order_relaxed);  // AML_RELAXED(init before the block is shared)
+    }
+    total_words_ += n;
+    return block.data();
+  }
+
+  /// Locality-annotated allocation (DSM vocabulary). Native hardware has no
+  /// permanent locality, so this forwards to alloc(); it exists so that the
+  /// DSM lock variant instantiates on every model.
+  Word* alloc_owned(Pid /*owner*/, std::size_t n, std::uint64_t init = 0) {
+    return alloc(n, init);
+  }
+
   /// Number of words allocated so far (space-accounting hook shared with the
   /// counting models so bench_table1_space works on any model).
   std::size_t words_allocated() const {
@@ -205,7 +224,6 @@ class BasicNativeModel {
   }
 
  private:
-  Pid nprocs_;
   mutable std::mutex alloc_mu_;
   std::deque<std::vector<Word>> blocks_;  // one block per alloc; stable
   std::size_t total_words_ = 0;

@@ -4,8 +4,8 @@
 // not raw atomics, so a per-edge relaxation cannot be expressed by editing a
 // memory_order argument at the call site. These free functions bridge the
 // gap: `ord::write_rel(space, self, word, x)` lowers to the space's
-// `write_rel` when it has one (NativeModel, and the spaces that forward to
-// it) and falls back to the seq_cst `write` otherwise. The counting/sched
+// `write_rel` when it has one (NativeModel and ShmSpace, through NativeOps,
+// and the spaces that forward to them) and falls back to the seq_cst `write` otherwise. The counting/sched
 // models deliberately do NOT implement the ordered members: under the
 // paper's seq_cst register model there is nothing to relax, the fallback
 // keeps their RMR/step accounting byte-identical, and the model checker

@@ -171,6 +171,9 @@ TEST(CountingCc, WordsAllocated) {
   m.alloc(3, 0);
   m.alloc(2, 1);
   EXPECT_EQ(m.words_allocated(), 5u);
+  // Signals share the id space with words but are not words.
+  m.alloc_signal();
+  EXPECT_EQ(m.words_allocated(), 5u);
 }
 
 TEST(CountingCc, TotalCountersAggregates) {

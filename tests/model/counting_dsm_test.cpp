@@ -85,6 +85,35 @@ TEST(CountingDsm, LargeAllocationsAreContiguous) {
   EXPECT_EQ(m.counters(1).rmrs, 0u);  // all owner-local
 }
 
+TEST(CountingDsm, WaitEitherChargesEpisodePerRemoteWord) {
+  CountingDsmModel m(3);
+  auto* remote = m.alloc_owned(1, 1, 0);
+  auto* other = m.alloc_owned(1, 1, 5);
+  auto* local = m.alloc_owned(0, 1, 0);
+  // First round on two remote words: one episode per remote word read.
+  auto done = m.wait_either(
+      2, *remote, [](std::uint64_t v) { return v != 0; }, *other,
+      [](std::uint64_t v) { return v == 5; }, nullptr);
+  EXPECT_EQ(done.value2, 5u);
+  EXPECT_EQ(m.counters(2).remote_spin_episodes, 2u);
+  EXPECT_EQ(m.counters(2).rmrs, 2u);
+  // A remote and a local word, woken once: the local word opens no
+  // episode, and the second round opens none either.
+  std::thread waiter([&] {
+    auto out = m.wait_either(
+        0, *remote, [](std::uint64_t v) { return v != 0; }, *local,
+        [](std::uint64_t v) { return v != 0; }, nullptr);
+    EXPECT_EQ(out.value2, 1u);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  m.write(1, *local, 1);
+  waiter.join();
+  EXPECT_EQ(m.counters(0).wait_wakeups, 1u);  // exactly two rounds
+  EXPECT_EQ(m.counters(0).remote_spin_episodes, 1u);
+  EXPECT_EQ(m.counters(0).rmrs, 2u);         // the remote word, each round
+  EXPECT_EQ(m.counters(0).local_reads, 2u);  // the local word, each round
+}
+
 TEST(CountingDsm, WaitStopsOnSignal) {
   CountingDsmModel m(1);
   auto* w = m.alloc(1, 0);

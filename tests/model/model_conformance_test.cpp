@@ -1,18 +1,51 @@
-// Cross-model conformance: every memory model must implement identical
-// *value* semantics for read/write/F&A/CAS/SWAP and wait — only the cost
-// accounting differs. Typed tests run the same assertions against
-// NativeModel, CountingCcModel, and CountingDsmModel, which is what lets
-// the lock templates treat the models interchangeably.
+// Cross-model conformance: every word space the lock templates run on must
+// implement identical *value* semantics for read/write/F&A/CAS/SWAP and wait
+// — only the cost accounting and the word allocation differ. Typed tests run
+// the same assertions against NativeModel, the two counting models (one
+// CountingModel body under the CC and the DSM rule) and ipc::ShmSpace (the
+// native word operations over shm-arena words), which is what lets the lock
+// templates treat them interchangeably. The suite runs real threads, so CI
+// also runs it under TSan.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <memory>
+#include <string>
 #include <thread>
 
+#include "aml/ipc/shm_arena.hpp"
+#include "aml/ipc/shm_space.hpp"
 #include "aml/model/counting_cc.hpp"
 #include "aml/model/counting_dsm.hpp"
 #include "aml/model/native.hpp"
+#include "aml/pal/config.hpp"
 
 namespace aml::model {
+
+/// A freshly created, already unlinked arena: the mapping outlives the name,
+/// so nothing is left in /dev/shm even if a test aborts.
+struct FreshArena {
+  FreshArena() {
+    static std::atomic<int> counter{0};
+    const std::string name = "/aml-test-conformance-" +
+                             std::to_string(::getpid()) + "-" +
+                             std::to_string(counter.fetch_add(1));
+    std::string error;
+    segment = ipc::ShmArena::create(name, 1 << 20, 0, &error);
+    ipc::ShmArena::unlink(name);
+    AML_ASSERT(segment != nullptr, "conformance arena create failed");
+  }
+  std::unique_ptr<ipc::ShmArena> segment;
+};
+
+/// ipc::ShmSpace owning its arena, constructible from nprocs like a model.
+/// Outside the anonymous namespace so its typed-test names carry no spaces.
+class OwnedShmSpace : private FreshArena, public ipc::ShmSpace {
+ public:
+  explicit OwnedShmSpace(Pid nprocs) : ShmSpace(*segment, nprocs) {}
+};
+
 namespace {
 
 template <typename M>
@@ -22,8 +55,8 @@ class ModelConformance : public ::testing::Test {
   M model;
 };
 
-using Models =
-    ::testing::Types<NativeModel, CountingCcModel, CountingDsmModel>;
+using Models = ::testing::Types<NativeModel, CountingCcModel,
+                                CountingDsmModel, OwnedShmSpace>;
 TYPED_TEST_SUITE(ModelConformance, Models);
 
 TYPED_TEST(ModelConformance, InitialValueVisible) {
