@@ -26,8 +26,15 @@
 //
 // The space exposes the same read/write/faa/wait vocabulary as a memory
 // model, so Tree and OneShotLock instantiate over it unchanged.
+//
+// Placement: on a space with alloc_line (the heap NativeModel) a record's
+// V_w, w_0 and w_1 share one cache line of their own, so the lazy reset
+// moves one line per first access, not three. Every other space gets three
+// separate alloc(1) words in the order V_w, w_0, w_1; the counting models
+// still price each as its own word, and ShmSpace's arena layout is unchanged.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -42,6 +49,28 @@
 namespace aml::core {
 
 using model::Pid;
+
+namespace detail {
+
+/// A space that can put one record's three backing words on one cache line
+/// (model::BasicNativeModel::alloc_line).
+template <typename M>
+concept LinePacking = requires(M& m) {
+  { m.alloc_line({std::uint64_t{0}, std::uint64_t{0}, std::uint64_t{0}}) };
+};
+
+/// The operand type a record's backing words are addressed through: the
+/// space's unpadded Cell when it packs lines, else its Word.
+template <typename M>
+struct RecordSlot {
+  using type = typename M::Word;
+};
+template <LinePacking M>
+struct RecordSlot<M> {
+  using type = typename M::Cell;
+};
+
+}  // namespace detail
 
 template <typename M>
 class VersionedSpace {
@@ -71,13 +100,22 @@ class VersionedSpace {
   /// are contiguous (each alloc gets its own handle block).
   Word* alloc(std::size_t n, std::uint64_t init) {
     const std::size_t base = records_.size();
-    // Allocate the three backing words of each record as one contiguous
-    // triple to keep the model's block count low.
     for (std::size_t i = 0; i < n; ++i) {
       Record rec;
-      rec.vw = mem_.alloc(1, 0);  // version 0, incarnation 0
-      rec.inc[0] = mem_.alloc(1, init);
-      rec.inc[1] = mem_.alloc(1, init);
+      if constexpr (kLinePacked) {
+        // A first access touches V_w and then one incarnation, and a switch
+        // resets the other: one line serves all three.
+        Slot* line = mem_.alloc_line({0, init, init});
+        rec.vw = line;
+        rec.inc[0] = line + 1;
+        rec.inc[1] = line + 2;
+      } else {
+        // Three words, in this order: the counting models' word ids and
+        // ShmSpace's arena offsets depend on it.
+        rec.vw = mem_.alloc(1, 0);  // version 0, incarnation 0
+        rec.inc[0] = mem_.alloc(1, init);
+        rec.inc[1] = mem_.alloc(1, init);
+      }
       rec.init = init;
       records_.push_back(rec);
     }
@@ -142,6 +180,11 @@ class VersionedSpace {
     return mem_.peek(*records_[idx].vw);
   }
   std::uint64_t version_mask() const { return version_mask_; }
+  /// Backing words {V_w, w_0, w_1} of logical word `idx` (layout tests).
+  std::array<const void*, 3> backing(std::size_t idx) const {
+    const Record& rec = records_[idx];
+    return {rec.vw, rec.inc[0], rec.inc[1]};
+  }
 
   // --- model vocabulary --------------------------------------------------
 
@@ -186,9 +229,12 @@ class VersionedSpace {
   }
 
  private:
+  static constexpr bool kLinePacked = detail::LinePacking<M>;
+  using Slot = typename detail::RecordSlot<M>::type;
+
   struct Record {
-    typename M::Word* vw = nullptr;
-    typename M::Word* inc[2] = {nullptr, nullptr};
+    Slot* vw = nullptr;
+    Slot* inc[2] = {nullptr, nullptr};
     std::uint64_t init = 0;
   };
 
@@ -204,7 +250,7 @@ class VersionedSpace {
 
   /// Resolve the live incarnation of `w` for this process' session,
   /// performing the lazy reset protocol on first access.
-  typename M::Word& resolve(Pid self, Word w) {
+  Slot& resolve(Pid self, Word w) {
     Record& rec = records_[w.idx];
     auto& local = *locals_[self];
     if (local.size() < records_.size()) local.resize(records_.size());

@@ -395,7 +395,10 @@ class ShmNamedLockTable {
     return static_cast<std::uint32_t>(table::key_hash(key)) &
            (stripe_count() - 1);
   }
-  Stripe& stripe(std::uint32_t s) { return *stripes_[s]; }
+  Stripe& stripe(std::uint32_t s) {
+    AML_ASSERT(s < stripes_.size(), "stripe: stripe index out of range");
+    return *stripes_[s];
+  }
   ProcessRegistry& registry() { return registry_; }
   ShmArena& arena() { return *arena_; }
   /// Observability: normal *and* recovered passages land here (the

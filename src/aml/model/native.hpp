@@ -19,13 +19,19 @@
 // relaxation's value stays measured, not assumed.
 //
 // NativeOps<Relaxed> is the word and its operations; it allocates nothing.
-// BasicNativeModel adds heap allocation, ipc::ShmSpace adds allocation out of
-// a shared-memory arena, so both word spaces run the same operations.
+// The operations take a Cell (the bare atomic); a Word is a Cell padded to
+// its own cache line, and is what every alloc() hands out. BasicNativeModel
+// adds heap allocation, including alloc_line(), which packs the three cells
+// of one VersionedSpace record onto one line so a first access in a fresh
+// incarnation moves one line instead of three. ipc::ShmSpace adds allocation
+// out of a shared-memory arena (padded words only; its layout is versioned),
+// so both word spaces run the same operations.
 //
 // This model performs no accounting; instantiating the lock templates with
 // it yields the deployable library (aml::AbortableLock).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -46,13 +52,19 @@ namespace aml::model {
 template <bool Relaxed>
 class NativeOps {
  public:
-  /// One shared word. Padded to a cache line so that the per-slot spin words
-  /// of the queue lock do not false-share, which the CC cost model assumes —
-  /// across processes too, when the word lives in a shm arena.
+  /// One atomic word, unpadded: the operand every operation below takes.
+  /// Cells exist on their own only where a space deliberately puts several
+  /// on one line (BasicNativeModel::alloc_line).
   // AML_SHM_REGION_BEGIN
-  struct alignas(pal::kCacheLine) Word {
+  struct Cell {
     std::atomic<std::uint64_t> v{0};
   };
+
+  /// One shared word: a cell padded to a cache line so that the per-slot
+  /// spin words of the queue lock do not false-share, which the CC cost
+  /// model assumes — across processes too, when the word lives in a shm
+  /// arena. A Word& binds to every Cell& parameter.
+  struct alignas(pal::kCacheLine) Word : Cell {};
   // AML_SHM_REGION_END
 
   explicit NativeOps(Pid nprocs) : nprocs_(nprocs) {}
@@ -64,31 +76,31 @@ class NativeOps {
 
   // --- base vocabulary (seq_cst, the paper's register model) -------------
 
-  std::uint64_t read(Pid, Word& w) const {
+  std::uint64_t read(Pid, Cell& w) const {
     return w.v.load(std::memory_order_seq_cst);
   }
 
-  void write(Pid, Word& w, std::uint64_t x) {
+  void write(Pid, Cell& w, std::uint64_t x) {
     w.v.store(x, std::memory_order_seq_cst);
   }
 
-  std::uint64_t faa(Pid, Word& w, std::uint64_t delta) {
+  std::uint64_t faa(Pid, Cell& w, std::uint64_t delta) {
     return w.v.fetch_add(delta, std::memory_order_seq_cst);
   }
 
-  bool cas(Pid, Word& w, std::uint64_t expected, std::uint64_t desired) {
+  bool cas(Pid, Cell& w, std::uint64_t expected, std::uint64_t desired) {
     return w.v.compare_exchange_strong(expected, desired,
                                        std::memory_order_seq_cst);
   }
 
-  std::uint64_t swap(Pid, Word& w, std::uint64_t x) {
+  std::uint64_t swap(Pid, Cell& w, std::uint64_t x) {
     return w.v.exchange(x, std::memory_order_seq_cst);
   }
 
   // --- ordered vocabulary (edge carriers; see file header) ---------------
 
   /// Acquire-side carrier: the caller names the edge (amlint R8).
-  std::uint64_t read_acq(Pid, Word& w) const {
+  std::uint64_t read_acq(Pid, Cell& w) const {
     if constexpr (Relaxed) {
       return w.v.load(std::memory_order_acquire);  // AML_X_EDGE(model.native.carrier)
     } else {
@@ -98,7 +110,7 @@ class NativeOps {
 
   /// Unordered read: only for values re-validated by a later synchronizing
   /// operation, or owner-local state (justified AML_RELAXED at call sites).
-  std::uint64_t read_rlx(Pid, Word& w) const {
+  std::uint64_t read_rlx(Pid, Cell& w) const {
     if constexpr (Relaxed) {
       return w.v.load(std::memory_order_relaxed);  // AML_RELAXED(carrier; justification at call sites)
     } else {
@@ -107,7 +119,7 @@ class NativeOps {
   }
 
   /// Release-side carrier: the caller names the edge (amlint R8).
-  void write_rel(Pid, Word& w, std::uint64_t x) {
+  void write_rel(Pid, Cell& w, std::uint64_t x) {
     if constexpr (Relaxed) {
       w.v.store(x, std::memory_order_release);  // AML_V_EDGE(model.native.carrier)
     } else {
@@ -117,7 +129,7 @@ class NativeOps {
 
   /// Unordered write: pre-publication initialization or values published by
   /// a later release (justified AML_RELAXED at call sites).
-  void write_rlx(Pid, Word& w, std::uint64_t x) {
+  void write_rlx(Pid, Cell& w, std::uint64_t x) {
     if constexpr (Relaxed) {
       w.v.store(x, std::memory_order_relaxed);  // AML_RELAXED(carrier; justification at call sites)
     } else {
@@ -135,7 +147,7 @@ class NativeOps {
   /// Callers name the concrete edge (amlint R8 requires a tag on every
   /// wait() call in the covered paths).
   template <typename Pred>
-  WaitOutcome wait(Pid, Word& w, Pred&& pred,
+  WaitOutcome wait(Pid, Cell& w, Pred&& pred,
                    const std::atomic<bool>* stop) const {
     pal::Backoff backoff;
     for (;;) {
@@ -156,7 +168,7 @@ class NativeOps {
 
   /// Two-word busy-wait (see CountingModel::wait_either).
   template <typename Pred1, typename Pred2>
-  WaitOutcome2 wait_either(Pid, Word& w1, Pred1&& pred1, Word& w2,
+  WaitOutcome2 wait_either(Pid, Cell& w1, Pred1&& pred1, Cell& w2,
                            Pred2&& pred2,
                            const std::atomic<bool>* stop) const {
     pal::Backoff backoff;
@@ -189,7 +201,12 @@ class NativeOps {
 template <bool Relaxed>
 class BasicNativeModel : public NativeOps<Relaxed> {
  public:
+  using Cell = typename NativeOps<Relaxed>::Cell;
   using Word = typename NativeOps<Relaxed>::Word;
+
+  /// Cells that alloc_line() puts on one line: a VersionedSpace record's
+  /// V_w, w_0 and w_1, which are always touched together.
+  static constexpr std::size_t kLineCells = 3;
 
   explicit BasicNativeModel(Pid nprocs = 1) : NativeOps<Relaxed>(nprocs) {}
 
@@ -209,6 +226,19 @@ class BasicNativeModel : public NativeOps<Relaxed> {
     return block.data();
   }
 
+  /// Allocate kLineCells unpadded cells on one fresh cache line, cell i
+  /// initialized to `init[i]`; w[0..kLineCells) is valid pointer arithmetic.
+  /// No other allocation shares the line. Counted as kLineCells words.
+  Cell* alloc_line(const std::array<std::uint64_t, kLineCells>& init) {
+    std::lock_guard<std::mutex> guard(alloc_mu_);
+    Line& line = lines_.emplace_back();
+    for (std::size_t i = 0; i < kLineCells; ++i) {
+      line.cells[i].v.store(init[i], std::memory_order_relaxed);  // AML_RELAXED(init before the line is shared)
+    }
+    total_words_ += kLineCells;
+    return line.cells;
+  }
+
   /// Locality-annotated allocation (DSM vocabulary). Native hardware has no
   /// permanent locality, so this forwards to alloc(); it exists so that the
   /// DSM lock variant instantiates on every model.
@@ -224,8 +254,13 @@ class BasicNativeModel : public NativeOps<Relaxed> {
   }
 
  private:
+  struct alignas(pal::kCacheLine) Line {
+    Cell cells[kLineCells];
+  };
+
   mutable std::mutex alloc_mu_;
   std::deque<std::vector<Word>> blocks_;  // one block per alloc; stable
+  std::deque<Line> lines_;                // one line per alloc_line; stable
   std::size_t total_words_ = 0;
 };
 

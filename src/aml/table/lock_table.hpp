@@ -27,10 +27,12 @@
 // *generation* (stripe array + mask + per-stripe stats); the old generation
 // drains and retires:
 //
-//   * every key passage pins the current generation (a per-generation
-//     refcount) for its whole enter..exit lifetime, and acquires stripes
-//     through that generation's mask — so a key never changes stripe
-//     mid-hold;
+//   * every key passage pins the current generation for its whole
+//     enter..exit lifetime, and acquires stripes through that generation's
+//     mask — so a key never changes stripe mid-hold. A generation has one
+//     cache-padded pin cell per pid, written only by its owner (a count: a
+//     pid holding two keys reads 2), so pinning moves no shared line and
+//     the read-mostly generation header (mask, stripes) stays clean;
 //   * while the previous generation has live pins (passages that started
 //     before the switch), a new-generation passage *bridges*: it acquires
 //     the key's old-generation stripe first, then its new-generation stripe.
@@ -39,12 +41,14 @@
 //     holds across the transition. The bridge orders old stripes strictly
 //     before new stripes (each set ascending), a global total order, so
 //     multi-key acquisition stays deadlock-free during a drain;
-//   * when the old generation's pin count hits zero it is *retired*:
-//     bridging stops, and passages cost exactly one stripe lock again.
-//     Retirement uses seq_cst on the pin counter and the current-generation
-//     pointer (a Dekker-style publication: pinners increment-then-recheck,
-//     the resizer publishes-then-reads) so a passage active on the old
-//     generation can never be missed.
+//   * when every pin cell of the old generation reads zero it is
+//     *retired*: bridging stops, and passages cost exactly one stripe lock
+//     again. The retirement scan runs in resize() right after publication
+//     and in every unpin of a superseded generation. It uses seq_cst on the
+//     cells and the current-generation pointer (a Dekker-style publication:
+//     pinners store-then-recheck, the resizer publishes-then-scans, an
+//     unpinner stores-then-scans) so a passage active on the old generation
+//     can never be missed, and the last one out always sees all zeros.
 //
 // resize() is non-blocking and grow-only: it returns false when another
 // resize is in flight, when the previous drain has not finished, or when the
@@ -216,13 +220,13 @@ class LockTable {
     if (old_gen != nullptr) {
       s_old = static_cast<std::uint32_t>(hash) & old_gen->mask;
       if (!acquire_gen_stripe(*old_gen, self, s_old, signal)) {
-        unpin(gen);
+        unpin(self, gen);
         return false;
       }
     }
     if (!acquire_gen_stripe(*gen, self, s_new, signal)) {
       if (old_gen != nullptr) old_gen->stripes[s_old]->exit(self);
-      unpin(gen);
+      unpin(self, gen);
       return false;
     }
     locals_[self]->singles.push_back(
@@ -238,7 +242,7 @@ class LockTable {
       singles.erase(singles.begin() + static_cast<std::ptrdiff_t>(i));
       hold.gen->stripes[hold.s_new]->exit(self);
       if (hold.old_gen != nullptr) hold.old_gen->stripes[hold.s_old]->exit(self);
-      unpin(hold.gen);
+      unpin(self, hold.gen);
       return;
     }
     AML_ASSERT(false, "exit_hash: key is not held by this thread");
@@ -284,7 +288,7 @@ class LockTable {
     for (std::size_t i = 0; i < hold.order_old.size(); ++i) {
       if (!acquire_gen_stripe(*old_gen, self, hold.order_old[i], signal)) {
         while (i-- > 0) old_gen->stripes[hold.order_old[i]]->exit(self);
-        unpin(gen);
+        unpin(self, gen);
         return false;
       }
     }
@@ -294,7 +298,7 @@ class LockTable {
         for (std::size_t j = hold.order_old.size(); j-- > 0;) {
           old_gen->stripes[hold.order_old[j]]->exit(self);
         }
-        unpin(gen);
+        unpin(self, gen);
         return false;
       }
     }
@@ -315,7 +319,7 @@ class LockTable {
       for (std::size_t j = hold.order_old.size(); j-- > 0;) {
         hold.old_gen->stripes[hold.order_old[j]]->exit(self);
       }
-      unpin(hold.gen);
+      unpin(self, hold.gen);
       return;
     }
     AML_ASSERT(false, "exit_hashes: key set is not held by this thread");
@@ -355,11 +359,9 @@ class LockTable {
     current_.store(next, std::memory_order_seq_cst);  // AML_V_EDGE(table.gen_publish)
     // If no passage is pinned to the old generation, retire it right here —
     // no unpin will ever fire for it again. (Dekker pairing with pin(): the
-    // seq_cst store above precedes this load, so a passage that saw the old
+    // seq_cst store above precedes this scan, so a passage that saw the old
     // pointer has its increment visible here.)
-    if (old_gen->pins.load(std::memory_order_seq_cst) == 0) {
-      maybe_retire(old_gen);
-    }
+    maybe_retire(old_gen);
     resizing_.store(false, std::memory_order_release);  // AML_V_EDGE(table.resize_guard)
     return true;
   }
@@ -388,7 +390,9 @@ class LockTable {
   /// snapshot is only consistent once writers quiesce, like every relaxed
   /// counter block; `inflight` is exact at the instant of each load.
   StripeStatsView stripe_stats(std::uint32_t s) const {
-    const StripeStats& st = *cur().stats[s];
+    const Generation& g = cur();
+    AML_ASSERT(s <= g.mask, "stripe_stats: stripe index out of range");
+    const StripeStats& st = *g.stats[s];
     StripeStatsView view;
     view.acquisitions = st.acquisitions.load(std::memory_order_relaxed);  // AML_RELAXED(stats snapshot)
     view.aborts = st.aborts.load(std::memory_order_relaxed);  // AML_RELAXED(stats snapshot)
@@ -417,7 +421,9 @@ class LockTable {
   /// table (bind at construction, or through resize()'s on_stripe_built
   /// hook).
   void set_stripe_metrics(std::uint32_t s, Metrics* sink) {
-    cur_mut().stripes[s]->set_metrics(sink);
+    Generation& g = cur_mut();
+    AML_ASSERT(s <= g.mask, "set_stripe_metrics: stripe index out of range");
+    g.stripes[s]->set_metrics(sink);
   }
 
   // --- analysis introspection ----------------------------------------------
@@ -445,7 +451,9 @@ class LockTable {
       GenerationView v;
       v.epoch = g->epoch;
       v.stripe_count = g->mask + 1;
-      v.pins = g->pins.load(std::memory_order_acquire);  // AML_X_EDGE(table.gen_quiesce)
+      for (const auto& cell : g->pins) {
+        v.pins += cell->load(std::memory_order_acquire);  // AML_X_EDGE(table.gen_quiesce)
+      }
       v.retired = g->retired.load(std::memory_order_acquire);  // AML_X_EDGE(table.gen_quiesce)
       v.is_current = (g.get() == current);
       out.push_back(v);
@@ -453,11 +461,12 @@ class LockTable {
     return out;
   }
 
-  /// Test-only: bias generation `gen_idx`'s pin count to manufacture an
-  /// illegal state (e.g. a retired generation with pinned passages) so oracle
-  /// fire-tests can observe a violation. Never call outside tests.
+  /// Test-only: bias generation `gen_idx`'s pin count (pid 0's cell) to
+  /// manufacture an illegal state (e.g. a retired generation with pinned
+  /// passages) so oracle fire-tests can observe a violation. Never call
+  /// outside tests.
   void debug_corrupt_pins(std::size_t gen_idx, std::uint64_t delta) {
-    gens_[gen_idx]->pins.fetch_add(delta, std::memory_order_seq_cst);
+    gens_[gen_idx]->pins[0]->fetch_add(delta, std::memory_order_seq_cst);
   }
 
   /// Test-only: force generation `gen_idx`'s retired flag. See
@@ -483,8 +492,10 @@ class LockTable {
     Generation* prev = nullptr;  ///< the generation this one superseded
     std::vector<std::unique_ptr<StripeLock>> stripes;
     std::vector<pal::CachePadded<StripeStats>> stats;
-    std::atomic<std::uint64_t> pins{0};   ///< passages in flight on this gen
-    std::atomic<bool> retired{false};     ///< fully drained; bridging over
+    /// Per pid: that pid's passages in flight on this generation. Written
+    /// only by its owner, so a passage's pin never moves a shared line.
+    std::vector<pal::CachePadded<std::atomic<std::uint64_t>>> pins;
+    std::atomic<bool> retired{false};  ///< fully drained; bridging over
   };
 
   struct SingleHold {
@@ -525,6 +536,8 @@ class LockTable {
     gen->prev = prev;
     gen->stripes.reserve(nstripes);
     gen->stats = std::vector<pal::CachePadded<StripeStats>>(nstripes);
+    gen->pins = std::vector<pal::CachePadded<std::atomic<std::uint64_t>>>(
+        config_.max_threads);
     for (std::uint32_t s = 0; s < nstripes; ++s) {
       gen->stripes.push_back(std::make_unique<StripeLock>(
           mem_, typename StripeLock::Config{.nprocs = config_.max_threads,
@@ -536,31 +549,41 @@ class LockTable {
   }
 
   /// Pin the current generation for one passage. The increment-then-recheck
-  /// (all seq_cst) pairs with resize()'s publish-then-read: either the
+  /// (all seq_cst) pairs with resize()'s publish-then-scan: either the
   /// pinner lands on the generation that is still current, or it retries on
-  /// the new one — a stale pin is withdrawn before any stripe is touched.
-  Generation* pin(Pid /*self*/) {
+  /// the new one — a stale pin is withdrawn before any stripe is touched,
+  /// through unpin(), so a stale pinner that leaves last still retires it.
+  Generation* pin(Pid self) {
     for (;;) {
       Generation* g = current_.load(std::memory_order_seq_cst);
-      g->pins.fetch_add(1, std::memory_order_seq_cst);
+      std::atomic<std::uint64_t>& cell = *g->pins[self];
+      const std::uint64_t held =
+          cell.load(std::memory_order_relaxed);  // AML_RELAXED(own cell; only this pid writes it)
+      cell.store(held + 1, std::memory_order_seq_cst);
       if (current_.load(std::memory_order_seq_cst) == g) return g;
-      unpin(g);
+      unpin(self, g);
     }
   }
 
-  void unpin(Generation* g) {
+  void unpin(Pid self, Generation* g) {
+    std::atomic<std::uint64_t>& cell = *g->pins[self];
+    const std::uint64_t held =
+        cell.load(std::memory_order_relaxed);  // AML_RELAXED(own cell; only this pid writes it)
     // seq_cst for the Dekker with resize(); also the release side the
     // quiescence probes acquire.
-    if (g->pins.fetch_sub(1, std::memory_order_seq_cst) == 1) {  // AML_V_EDGE(table.gen_quiesce)
-      maybe_retire(g);
-    }
+    cell.store(held - 1, std::memory_order_seq_cst);  // AML_V_EDGE(table.gen_quiesce)
+    maybe_retire(g);
   }
 
-  /// Retire `g` if it is superseded and drained. Idempotent; racing callers
-  /// can both store true.
+  /// Retire `g` if it is superseded and every pid's cell reads zero.
+  /// Idempotent; racing callers can both store true. Each unpinner of a
+  /// superseded generation scans after its own store, so whichever store
+  /// is last in the seq_cst order is followed by a scan that sees all zero.
   void maybe_retire(Generation* g) {
     if (current_.load(std::memory_order_seq_cst) == g) return;
-    if (g->pins.load(std::memory_order_seq_cst) != 0) return;
+    for (const auto& cell : g->pins) {
+      if (cell->load(std::memory_order_seq_cst) != 0) return;
+    }
     g->retired.store(true, std::memory_order_seq_cst);  // AML_V_EDGE(table.gen_quiesce)
   }
 

@@ -140,6 +140,7 @@ class BasicNamedLockTable {
     requires(Metrics::kEnabled)
   {
     std::lock_guard<std::mutex> lk(sinks_mu_);
+    AML_ASSERT(s < sinks_.size(), "stripe_metrics: stripe index out of range");
     return *sinks_[s];
   }
 

@@ -5,8 +5,18 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
+#include <unistd.h>
+
 #include "aml/core/eager_space.hpp"
+#include "aml/core/longlived.hpp"
+#include "aml/ipc/shm_arena.hpp"
+#include "aml/ipc/shm_space.hpp"
 #include "aml/model/counting_cc.hpp"
+#include "aml/model/native.hpp"
+#include "aml/pal/cache.hpp"
 #include "aml/sched/scheduler.hpp"
 
 namespace aml::core {
@@ -150,6 +160,56 @@ TEST(VersionedSpace, LargeHandleBlocksAreContiguous) {
     space.write(0, words[i], static_cast<std::uint64_t>(i));
   }
   ASSERT_EQ(space.read(0, words[299]), 299u);
+}
+
+// Placement of the backing words. On the heap NativeModel a record's V_w,
+// w_0 and w_1 share one cache line that no other record touches; the word
+// count is what it was with three padded words. ShmSpace keeps one padded
+// word per backing word, so its arena layout (kShmLayoutVersion) is
+// unchanged. The counts are those of a 3-process, W=8 LongLivedLock.
+TEST(VersionedSpace, NativeRecordsShareOneLineShmWordsStayPadded) {
+  constexpr std::size_t kLockWords = 104;
+  const auto line_of = [](const void* p) {
+    return reinterpret_cast<std::uintptr_t>(p) / pal::kCacheLine;
+  };
+  {
+    model::NativeModel m(2);
+    VersionedSpace<model::NativeModel> space(m, 2, 8);
+    const std::size_t before = m.words_allocated();
+    space.alloc(5, 7);
+    space.alloc(1, 9);
+    EXPECT_EQ(m.words_allocated() - before, 6u * 3u);
+    std::uintptr_t prev_line = 0;
+    for (std::size_t idx = 0; idx < space.logical_words(); ++idx) {
+      const auto words = space.backing(idx);
+      EXPECT_EQ(line_of(words[0]), line_of(words[1])) << "record " << idx;
+      EXPECT_EQ(line_of(words[0]), line_of(words[2])) << "record " << idx;
+      EXPECT_NE(line_of(words[0]), prev_line) << "record " << idx;
+      prev_line = line_of(words[0]);
+    }
+    space.begin_session(0);
+    EXPECT_EQ(space.read(0, space.alloc(1, 11)[0]), 11u);
+
+    model::NativeModel lock_mem(3);
+    core::LongLivedLock<model::NativeModel> lock(lock_mem,
+                                                 {.nprocs = 3, .w = 8});
+    EXPECT_EQ(lock_mem.words_allocated(), kLockWords);
+  }
+  {
+    static_assert(sizeof(ipc::ShmSpace::Word) == 64);
+    const std::string name =
+        "/aml-test-vspace-layout-" + std::to_string(::getpid());
+    std::string error;
+    auto arena = ipc::ShmArena::create(name, 1 << 20, 0, &error);
+    ipc::ShmArena::unlink(name);  // the mapping outlives the name
+    ASSERT_NE(arena, nullptr) << error;
+    ipc::ShmSpace shm(*arena, 3);
+    const std::uint64_t before = arena->cursor();
+    core::LongLivedLock<ipc::ShmSpace> lock(shm, {.nprocs = 3, .w = 8});
+    EXPECT_EQ(shm.words_allocated(), kLockWords);
+    // One padded word per model word, plus one line of spin-pool marks.
+    EXPECT_EQ(arena->cursor() - before, (kLockWords + 1) * 64);
+  }
 }
 
 TEST(EagerSpaceTest, ResetsEverythingAtOnce) {

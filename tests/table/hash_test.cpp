@@ -1,11 +1,21 @@
 // Key hashing and stripe-count rounding: determinism, avalanche sanity, and
-// the round_up_pow2 domain fix (the old loop spun forever past 2^31).
+// the round_up_pow2 domain fix (the old loop spun forever past 2^31). Also
+// the other end of the key -> stripe map: every accessor that takes a raw
+// stripe index rejects one past the stripe count instead of reading past
+// its array.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <string_view>
 
+#include <unistd.h>
+
+#include "aml/ipc/shm_table.hpp"
+#include "aml/model/native.hpp"
 #include "aml/table/hash.hpp"
+#include "aml/table/lock_table.hpp"
+#include "aml/table/named_table.hpp"
 
 namespace aml::table {
 namespace {
@@ -50,6 +60,38 @@ TEST(Hash, RoundUpPow2CoversDomain) {
 TEST(HashDeathTest, RoundUpPow2RejectsOutOfDomain) {
   EXPECT_DEATH(round_up_pow2(0), "round_up_pow2");
   EXPECT_DEATH(round_up_pow2((1u << 31) + 1), "round_up_pow2");
+}
+
+TEST(StripeIndexDeathTest, StripeAccessorsRejectIndexPastStripeCount) {
+  model::NativeModel mem(1);
+  LockTable<model::NativeModel> table(
+      mem, {.max_threads = 1, .stripes = 2, .tree_width = 8});
+  ASSERT_EQ(table.stripe_count(), 2u);
+  (void)table.stripe_stats(1);  // the last valid index stays fine
+  EXPECT_DEATH((void)table.stripe_stats(2), "stripe_stats");
+  EXPECT_DEATH(table.set_stripe_metrics(2, nullptr), "set_stripe_metrics");
+
+  // Built inside the child: the named table's timer wheel never runs in
+  // the forking parent.
+  EXPECT_DEATH(
+      {
+        ObservedNamedLockTable named({.max_threads = 1, .stripes = 2});
+        (void)named.stripe_metrics(2);
+      },
+      "stripe_metrics");
+
+  const std::string name =
+      "/aml-test-stripe-index-" + std::to_string(::getpid());
+  ipc::ShmTableConfig cfg;
+  cfg.nprocs = 1;
+  cfg.stripes = 2;
+  std::string error;
+  auto shm = ipc::ShmNamedLockTable::create(name, cfg, &error);
+  ipc::ShmNamedLockTable::unlink(name);  // the mapping outlives the name
+  ASSERT_NE(shm, nullptr) << error;
+  ASSERT_EQ(shm->stripe_count(), 2u);
+  (void)shm->stripe(1);
+  EXPECT_DEATH((void)shm->stripe(2), "stripe index");
 }
 #endif
 

@@ -3,6 +3,7 @@
 // bookkeeping, the always-on StripeStats block, and the grow policy.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -51,6 +52,42 @@ TEST(LockTableResize, GrowOnlyAndDrainGate) {
   EXPECT_TRUE(table.resize(16));  // drain complete; grow proceeds
   EXPECT_EQ(table.epoch(), 2u);
   EXPECT_EQ(table.stripe_count(), 16u);
+
+  // Nested pins: p0 holds two keys (its own pin cell reads 2), p1 holds a
+  // third, all on distinct stripes. The old generation drains only when
+  // the last of the three passages exits, whichever pid leaves last.
+  CountingCcModel mem2(2);
+  CcTable nested(mem2, {.max_threads = 2, .stripes = 4, .tree_width = 8});
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint32_t> used;
+  for (std::uint64_t k = 0; keys.size() < 3; ++k) {
+    const std::uint32_t s = nested.stripe_of(k);
+    if (std::find(used.begin(), used.end(), s) != used.end()) continue;
+    used.push_back(s);
+    keys.push_back(k);
+  }
+  const auto old_pins = [&nested] {
+    return nested.debug_generations().front().pins;
+  };
+  ASSERT_TRUE(nested.enter(0, keys[0]));
+  ASSERT_TRUE(nested.enter(0, keys[1]));
+  ASSERT_TRUE(nested.enter(1, keys[2]));
+  EXPECT_EQ(old_pins(), 3u);
+  ASSERT_TRUE(nested.resize(8));
+  EXPECT_TRUE(nested.draining());
+  EXPECT_EQ(old_pins(), 3u);
+  EXPECT_EQ(nested.debug_generations().back().pins, 0u);
+
+  nested.exit(1, keys[2]);
+  EXPECT_TRUE(nested.draining());
+  EXPECT_EQ(old_pins(), 2u);  // p0's cell alone
+  nested.exit(0, keys[0]);
+  EXPECT_TRUE(nested.draining());
+  EXPECT_EQ(old_pins(), 1u);
+  nested.exit(0, keys[1]);
+  EXPECT_FALSE(nested.draining());
+  EXPECT_EQ(old_pins(), 0u);
+  EXPECT_TRUE(nested.debug_generations().front().retired);
 }
 
 // A passage that starts during the drain must still exclude a pre-resize
