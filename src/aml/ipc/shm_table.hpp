@@ -8,20 +8,21 @@
 // identical construction sequence against the segment, so its process-local
 // replica objects resolve to the same shm words (see shm_arena.hpp).
 //
-// Sessions lease a dense pid from the shm ProcessRegistry (so ids are
-// unique across all attached processes). A passage writes no bookkeeping
-// that another pid also writes: its activity record (attempts, last event
-// time) is the pid's own ShmMetrics counter cell, and its armed deadline and
-// guard depth are process-local per-pid words only its session updates
-// (death detection is ESRCH + start-time — see process_registry.hpp). When
-// a process dies holding locks, any survivor's
-// recover_dead() finds the stale slots, claims them, and drives each victim
-// passage through the abort/exit path on every stripe (see shm_lock.hpp),
-// then frees — or, for a death inside the one journal-blind doorway window,
-// retires — the pid. Retired pids are reclaimed by later sweeps once a
-// full-quiescence epoch proves no live passage references them. A process
-// that *restarts* with its previous incarnation's identity can instead
-// repair its own passage directly via reattach_session().
+// Sessions, guards and the timed attempt are table::Frontend's (frontend.hpp);
+// this file is the shm placement. Sessions lease a dense pid from the shm
+// ProcessRegistry (so ids are unique across all attached processes). A passage
+// writes no bookkeeping that another pid also writes: its activity record
+// (attempts, last event time) is the pid's own ShmMetrics counter cell, and its
+// armed deadline and guard depth sit on the frontend's process-local per-pid
+// line (death detection is ESRCH + start-time — see process_registry.hpp). When
+// a process dies holding locks, a survivor's Session::recover_dead() finds the
+// stale slots, claims them, and drives each victim passage through the
+// abort/exit path on every stripe (see shm_lock.hpp), then frees — or, for a
+// death inside the one journal-blind doorway window, retires — the pid. Retired
+// pids are reclaimed by later sweeps once a full-quiescence epoch proves no
+// live passage references them. A process that *restarts* with its previous
+// incarnation's identity can instead repair its own passage directly via
+// reattach_session().
 //
 // v1 scope (documented limitations, not accidents):
 //   * single-key operations only — the multi-process multi-key transaction
@@ -30,9 +31,8 @@
 //   * the stripe count is fixed at creation — the in-process table's
 //     auto-grow reallocates stripe arrays, which a sealed bump arena cannot
 //     express;
-//   * deadlines/abort signals are process-local (a TimerWheel in each
-//     process); recovery takes a locally-leased dead pid's deadline slot and
-//     cancels its token so it cannot fire into the next leaseholder.
+//   * deadlines/abort signals are process-local (the frontend's TimerWheel
+//     in each process); recovery cancels a dead pid's local deadline.
 #pragma once
 
 #include <atomic>
@@ -41,14 +41,11 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
 #include <unistd.h>
 
-#include "aml/core/abortable_lock.hpp"
-#include "aml/core/adapters.hpp"
 #include "aml/ipc/process_registry.hpp"
 #include "aml/ipc/shm_arena.hpp"
 #include "aml/ipc/shm_lock.hpp"
@@ -57,6 +54,7 @@
 #include "aml/obs/shm_metrics.hpp"
 #include "aml/pal/cache.hpp"
 #include "aml/pal/config.hpp"
+#include "aml/table/frontend.hpp"
 #include "aml/table/hash.hpp"
 
 namespace aml::ipc {
@@ -129,9 +127,10 @@ struct RecoveryStats {
   std::uint64_t stranded_refcnts = 0;
 };
 
-class ShmNamedLockTable {
+class ShmNamedLockTable : public table::Frontend<ShmNamedLockTable> {
+  using Base = table::Frontend<ShmNamedLockTable>;
+
  public:
-  using Clock = TimerWheel::Clock;
   /// The segment-hosted ShmMetrics is the only sink: stripes carry no
   /// process-local obs::Metrics.
   using Stripe = ShmStripeLockT<obs::NullMetrics>;
@@ -250,9 +249,6 @@ class ShmNamedLockTable {
     return ok;
   }
 
-  class Session;
-  class Guard;
-
   /// Lease a dense pid for this process. Empty when all nprocs pids are
   /// live (or retired as zombies) — recover_dead() from any live session
   /// frees slots of dead holders.
@@ -260,18 +256,91 @@ class ShmNamedLockTable {
     std::uint64_t token = 0;
     const Pid id = registry_.try_lease(&token);
     if (id >= config_.nprocs) return std::nullopt;
-    local_[id].signal.reset();
-    return Session(*this, id, token);
+    return make_session(id, token);
   }
 
   // --- recovery ----------------------------------------------------------
 
+  /// Restart re-entry: a process that re-attached to the segment and still
+  /// holds its previous incarnation's identity (pid + lease token, persisted
+  /// or inherited across exec) resumes or unwinds that incarnation's
+  /// interrupted passages itself instead of waiting for a survivor sweep.
+  /// The registry claim succeeds only if the lease word still equals
+  /// `prev_token` and its published holder is provably dead — ESRCH or an
+  /// OS start-time mismatch, which covers the restarted process re-drawing
+  /// its own old OS pid. Every stripe's recovery arm then runs exactly as a
+  /// survivor's would (the journal, not the executor, drives the repair),
+  /// local deadlines are cancelled, and the slot is repossessed under a
+  /// fresh token. Empty if the claim was lost (already re-leased or swept;
+  /// fall back to open_session()) or if the old incarnation died in the
+  /// doorway-blind window (the pid is retired as usual).
+  std::optional<Session> reattach_session(Pid id, std::uint64_t prev_token) {
+    if (id >= config_.nprocs) return std::nullopt;
+    if (!registry_.try_reattach(id, prev_token)) return std::nullopt;
+    const std::uint64_t self_os = static_cast<std::uint64_t>(::getpid());
+    // exec == victim is sound here: the old incarnation is dead and this
+    // process holds its exclusive kRecovering claim, so this is the normal
+    // proxy pattern with the proxy running under the owner's own pid.
+    const bool zombie = recover_stripes(id, id, self_os);
+    if (take_deadline(id)) stats_.cancelled_deadlines++;
+    if (zombie) {
+      registry_.finish_recovery(id, true);
+      stats_.zombie_pids++;
+      return std::nullopt;
+    }
+    const std::uint64_t token = registry_.repossess(id);
+    stats_.reentries++;
+    shm_metrics_.on_reentry(id);
+    return make_session(id, token);
+  }
+
+  // --- introspection ------------------------------------------------------
+
+  const ShmTableConfig& config() const { return config_; }
+  std::uint32_t stripe_count() const {
+    return static_cast<std::uint32_t>(stripes_.size());
+  }
+  Stripe& stripe(std::uint32_t s) {
+    AML_ASSERT(s < stripes_.size(), "stripe: stripe index out of range");
+    return *stripes_[s];
+  }
+  ProcessRegistry& registry() { return registry_; }
+  ShmArena& arena() { return *arena_; }
+  /// Observability: normal *and* recovered passages land here (the
+  /// recoverer's forced aborts/exits flow through the same sink hooks). It
+  /// is segment-hosted, so it survives every attached process: a victim's
+  /// last events and the recovery dispatch counters are readable
+  /// post-mortem (tools/aml_stat renders this).
+  obs::ShmMetrics& shm_metrics() { return shm_metrics_; }
+  const obs::ShmMetrics& shm_metrics() const { return shm_metrics_; }
+  const RecoveryStats& recovery_stats() const { return stats_; }
+
+ private:
+  friend Base;
+  static constexpr bool kRecoverable = true;
+
+  // --- Frontend hooks ----------------------------------------------------
+
+  Stripe& stripe_at(std::uint64_t hash) {
+    return *stripes_[static_cast<std::uint32_t>(hash) & (config_.stripes - 1)];
+  }
+  bool enter_hash(Pid pid, std::uint64_t hash, const std::atomic<bool>* stop) {
+    return stripe_at(hash).enter(pid, stop).acquired;
+  }
+  void exit_hash(Pid pid, std::uint64_t hash) { stripe_at(hash).exit(pid); }
+  /// Token-checked: a no-op if a survivor recovered the lease meanwhile.
+  void end_session(Pid pid, std::uint64_t token) {
+    registry_.release(pid, token);
+  }
+  void note_idle(Pid pid) { registry_.note_idle(pid); }
+
   /// Sweep the registry for dead leaseholders and repair their passages,
-  /// executing as `exec` (a live leased pid of this process; its per-stripe
-  /// session caches are reused, so the caller must hold no guards). Returns
-  /// the number of dead pids repaired. Safe to call from multiple survivors
-  /// concurrently: the registry claim elects one recoverer per victim and
-  /// the per-stripe seqlock serializes the stripe repairs.
+  /// executing as `exec`. Reached only through Session::recover_dead, so
+  /// `exec` is a live pid this process leased; its per-stripe session caches
+  /// are reused, so it must hold no guards. Returns the number of dead pids
+  /// repaired. Safe to call from multiple survivors concurrently: the
+  /// registry claim elects one recoverer per victim and the per-stripe
+  /// seqlock serializes the stripe repairs.
   std::uint32_t recover_dead(Pid exec) {
     stats_.sweeps++;
     const std::uint64_t sweep_begin = obs::ShmMetrics::now_ns();
@@ -286,7 +355,7 @@ class ShmNamedLockTable {
       if (victim == exec || !registry_.dead(victim)) continue;
       if (!registry_.try_claim_recovery(victim)) continue;
       const bool zombie = recover_stripes(exec, victim, self_os);
-      cancel_deadlines(victim);
+      if (take_deadline(victim)) stats_.cancelled_deadlines++;
       registry_.finish_recovery(victim, zombie);
       repaired++;
       if (zombie) {
@@ -347,202 +416,6 @@ class ShmNamedLockTable {
     return recovered;
   }
 
-  /// Restart re-entry: a process that re-attached to the segment and still
-  /// holds its previous incarnation's identity (pid + lease token, persisted
-  /// or inherited across exec) resumes or unwinds that incarnation's
-  /// interrupted passages itself instead of waiting for a survivor sweep.
-  /// The registry claim succeeds only if the lease word still equals
-  /// `prev_token` and its published holder is provably dead — ESRCH or an
-  /// OS start-time mismatch, which covers the restarted process re-drawing
-  /// its own old OS pid. Every stripe's recovery arm then runs exactly as a
-  /// survivor's would (the journal, not the executor, drives the repair),
-  /// local deadlines are cancelled, and the slot is repossessed under a
-  /// fresh token. Empty if the claim was lost (already re-leased or swept;
-  /// fall back to open_session()) or if the old incarnation died in the
-  /// doorway-blind window (the pid is retired as usual).
-  std::optional<Session> reattach_session(Pid id, std::uint64_t prev_token) {
-    if (id >= config_.nprocs) return std::nullopt;
-    if (!registry_.try_reattach(id, prev_token)) return std::nullopt;
-    const std::uint64_t self_os = static_cast<std::uint64_t>(::getpid());
-    // exec == victim is sound here: the old incarnation is dead and this
-    // process holds its exclusive kRecovering claim, so this is the normal
-    // proxy pattern with the proxy running under the owner's own pid.
-    const bool zombie = recover_stripes(id, id, self_os);
-    cancel_deadlines(id);
-    if (zombie) {
-      registry_.finish_recovery(id, true);
-      stats_.zombie_pids++;
-      return std::nullopt;
-    }
-    const std::uint64_t token = registry_.repossess(id);
-    local_[id].signal.reset();
-    stats_.reentries++;
-    shm_metrics_.on_reentry(id);
-    return Session(*this, id, token);
-  }
-
-  // --- introspection ------------------------------------------------------
-
-  const ShmTableConfig& config() const { return config_; }
-  std::uint32_t stripe_count() const {
-    return static_cast<std::uint32_t>(stripes_.size());
-  }
-  std::uint32_t stripe_of(std::uint64_t key) const {
-    return static_cast<std::uint32_t>(table::key_hash(key)) &
-           (stripe_count() - 1);
-  }
-  std::uint32_t stripe_of(std::string_view key) const {
-    return static_cast<std::uint32_t>(table::key_hash(key)) &
-           (stripe_count() - 1);
-  }
-  Stripe& stripe(std::uint32_t s) {
-    AML_ASSERT(s < stripes_.size(), "stripe: stripe index out of range");
-    return *stripes_[s];
-  }
-  ProcessRegistry& registry() { return registry_; }
-  ShmArena& arena() { return *arena_; }
-  /// Observability: normal *and* recovered passages land here (the
-  /// recoverer's forced aborts/exits flow through the same sink hooks). It
-  /// is segment-hosted, so it survives every attached process: a victim's
-  /// last events and the recovery dispatch counters are readable
-  /// post-mortem (tools/aml_stat renders this).
-  obs::ShmMetrics& shm_metrics() { return shm_metrics_; }
-  const obs::ShmMetrics& shm_metrics() const { return shm_metrics_; }
-  const RecoveryStats& recovery_stats() const { return stats_; }
-  std::size_t pending_deadlines() const { return wheel_.pending(); }
-
-  // --- test hooks ---------------------------------------------------------
-
-  /// Arm a deadline on `id`'s signal without entering a lock (the
-  /// dead-session deadline-cancellation test pairs this with
-  /// registry().debug_set_os_pid + recover_dead). A pid arms at most one.
-  TimerWheel::Token debug_arm(Pid id, Clock::time_point when) {
-    std::atomic<TimerWheel::Token>& slot = local_[id].deadline;
-    AML_ASSERT(slot.load(std::memory_order_relaxed) == 0,  // AML_RELAXED(owner-written deadline slot)
-               "debug_arm: pid already has an armed deadline");
-    const TimerWheel::Token token = wheel_.arm(local_[id].signal, when);
-    slot.store(token, std::memory_order_relaxed);  // AML_RELAXED(owner-written deadline slot)
-    return token;
-  }
-
-  /// A session: a registry pid lease bound to this process. Move-only. A
-  /// Session and its Guards are used by one thread at a time (the lock runs
-  /// one passage per pid at a time; the pid's deadline slot and guard depth
-  /// are written only by that thread); hand one over only via a join/mutex.
-  class Session {
-   public:
-    Session(Session&& o) noexcept
-        : owner_(std::exchange(o.owner_, nullptr)), id_(o.id_),
-          token_(o.token_) {}
-    Session(const Session&) = delete;
-    Session& operator=(const Session&) = delete;
-    Session& operator=(Session&&) = delete;
-    ~Session() { close(); }
-
-    Pid id() const { return id_; }
-    /// The lease word securing this session. A process that persists
-    /// (id, token) across a restart — or inherits them across exec — can
-    /// hand them to reattach_session() to resume its own passages.
-    std::uint64_t token() const { return token_; }
-
-    /// No-op if a survivor recovered this lease out from under us (the
-    /// registry release is token-checked).
-    void close() {
-      if (owner_ != nullptr) {
-        owner_->registry_.release(id_, token_);
-        owner_ = nullptr;
-      }
-    }
-
-    /// Blocking acquisition (starvation-free; unabortable).
-    template <typename Key>
-    Guard acquire(Key key) {
-      const std::uint32_t s = owner_->stripe_of(key);
-      const core::EnterResult r =
-          owner_->stripes_[s]->enter(id_, nullptr);
-      AML_ASSERT(r.acquired, "unsignalled enter cannot abort");
-      return Guard(*owner_, id_, s);
-    }
-
-    /// Deadline-bounded acquisition: empty optional iff the deadline passed
-    /// first (the lock's bounded abort bounds the overshoot).
-    template <typename Key>
-    std::optional<Guard> try_acquire_until(Key key, Clock::time_point when) {
-      const std::uint32_t s = owner_->stripe_of(key);
-      if (!owner_->timed_enter(id_, s, when)) {
-        owner_->note_idle_if_quiet(id_);
-        return std::nullopt;
-      }
-      return Guard(*owner_, id_, s);
-    }
-
-    template <typename Key, typename Rep, typename Period>
-    std::optional<Guard> try_acquire_for(
-        Key key, std::chrono::duration<Rep, Period> budget) {
-      return try_acquire_until(key, Clock::now() + budget);
-    }
-
-    /// Abortable acquisition with a caller-managed signal.
-    template <typename Key>
-    std::optional<Guard> try_acquire(Key key, const AbortSignal& signal) {
-      const std::uint32_t s = owner_->stripe_of(key);
-      if (!owner_->stripes_[s]->enter(id_, signal.flag()).acquired) {
-        owner_->note_idle_if_quiet(id_);
-        return std::nullopt;
-      }
-      return Guard(*owner_, id_, s);
-    }
-
-    /// Sweep for dead processes (see ShmNamedLockTable::recover_dead).
-    /// Must not be called while this session holds a guard.
-    std::uint32_t recover_dead() { return owner_->recover_dead(id_); }
-
-   private:
-    friend class ShmNamedLockTable;
-    Session(ShmNamedLockTable& owner, Pid id, std::uint64_t token)
-        : owner_(&owner), id_(id), token_(token) {}
-
-    ShmNamedLockTable* owner_;
-    Pid id_;
-    std::uint64_t token_;  ///< lease word for token-checked release
-  };
-
-  /// RAII holder of one key's stripe.
-  class Guard {
-   public:
-    Guard(Guard&& o) noexcept
-        : owner_(std::exchange(o.owner_, nullptr)), pid_(o.pid_),
-          stripe_(o.stripe_) {}
-    Guard(const Guard&) = delete;
-    Guard& operator=(const Guard&) = delete;
-    Guard& operator=(Guard&&) = delete;
-    ~Guard() { release(); }
-
-    std::uint32_t stripe() const { return stripe_; }
-
-    void release() {
-      if (owner_ != nullptr) {
-        owner_->stripes_[stripe_]->exit(pid_);
-        owner_->guard_released(pid_);
-        owner_ = nullptr;
-      }
-    }
-
-   private:
-    friend class Session;
-    Guard(ShmNamedLockTable& owner, Pid pid, std::uint32_t stripe)
-        : owner_(&owner), pid_(pid), stripe_(stripe) {
-      owner.guard_acquired(pid);
-    }
-
-    ShmNamedLockTable* owner_;
-    Pid pid_;
-    std::uint32_t stripe_;
-  };
-
- private:
-  friend class Session;
-
   /// Run every stripe's recovery arm for `victim` as `exec` and tally the
   /// outcomes in stats_. True iff some stripe found the victim in its
   /// doorway-blind window (a zombie); the remaining stripes are still
@@ -574,13 +447,13 @@ class ShmNamedLockTable {
   /// first (deterministic offset for peek_config), then the registry, the
   /// shm metrics, and the stripes in index order.
   ShmNamedLockTable(std::unique_ptr<ShmArena> arena, ShmTableConfig cfg)
-      : config_(cfg),
+      : Base(cfg.nprocs),
+        config_(cfg),
         arena_(std::move(arena)),
         header_(init_header(*arena_, cfg)),
         space_(*arena_, cfg.nprocs),
         registry_(*arena_, cfg.nprocs),
-        shm_metrics_(*arena_, cfg.nprocs, cfg.stripes, cfg.ring_capacity),
-        local_(new PidLocal[cfg.nprocs]) {
+        shm_metrics_(*arena_, cfg.nprocs, cfg.stripes, cfg.ring_capacity) {
     stripes_.reserve(cfg.stripes);
     for (std::uint32_t s = 0; s < cfg.stripes; ++s) {
       stripes_.push_back(std::make_unique<Stripe>(
@@ -636,67 +509,6 @@ class ShmNamedLockTable {
            sizeof(ServiceHeader) + (1u << 20);
   }
 
-  // Quiescence bookkeeping feeding zombie reclamation: a pid's idle epoch
-  // is refreshed whenever it provably holds no lock — last guard released,
-  // or an acquisition failed while no guard was held. The depth counter is
-  // process-local and written only by the pid's session (one thread at a
-  // time), so it takes a load and a store: no RMW, no RMR.
-  void guard_acquired(Pid id) {
-    std::atomic<std::uint32_t>& depth = local_[id].guard_depth;
-    const std::uint32_t d = depth.load(std::memory_order_relaxed);  // AML_RELAXED(owner-written guard depth)
-    depth.store(d + 1, std::memory_order_relaxed);  // AML_RELAXED(owner-written guard depth)
-  }
-  void guard_released(Pid id) {
-    std::atomic<std::uint32_t>& depth = local_[id].guard_depth;
-    const std::uint32_t d = depth.load(std::memory_order_relaxed);  // AML_RELAXED(owner-written guard depth)
-    AML_DASSERT(d != 0, "guard depth underflow: session shared by threads?");
-    depth.store(d - 1, std::memory_order_relaxed);  // AML_RELAXED(owner-written guard depth)
-    if (d == 1) registry_.note_idle(id);
-  }
-  void note_idle_if_quiet(Pid id) {
-    if (local_[id].guard_depth.load(std::memory_order_relaxed) == 0) {  // AML_RELAXED(owner-written guard depth)
-      registry_.note_idle(id);
-    }
-  }
-
-  /// The armed token sits in the pid's deadline slot while enter() runs, so
-  /// cancel_deadlines can find it; whoever exchange(0)s it out cancels it.
-  /// The slot only carries the token: the wheel's mutex orders arm/cancel.
-  bool timed_enter(Pid pid, std::uint32_t s, Clock::time_point when) {
-    AbortSignal& signal = local_[pid].signal;
-    signal.reset();
-    std::atomic<TimerWheel::Token>& slot = local_[pid].deadline;
-    slot.store(wheel_.arm(signal, when), std::memory_order_relaxed);  // AML_RELAXED(token hand-over; the wheel's mutex orders arm/cancel)
-    const bool ok = stripes_[s]->enter(pid, signal.flag()).acquired;
-    const TimerWheel::Token token =
-        slot.exchange(0, std::memory_order_relaxed);  // AML_RELAXED(token hand-over; the wheel's mutex orders arm/cancel)
-    if (token != 0) wheel_.cancel(token);
-    return ok;
-  }
-
-  /// Disarm the deadline this process armed for a now-dead pid, if still
-  /// armed, and reset the signal so a stale raise cannot leak into the next
-  /// leaseholder.
-  void cancel_deadlines(Pid victim) {
-    const TimerWheel::Token token = local_[victim].deadline.exchange(
-        0, std::memory_order_relaxed);  // AML_RELAXED(token hand-over; the wheel's mutex orders arm/cancel)
-    if (token != 0) {
-      wheel_.cancel(token);
-      stats_.cancelled_deadlines++;
-    }
-    local_[victim].signal.reset();
-  }
-
-  /// Process-local state of one pid, one cache line so a waiter polling its
-  /// signal never shares it with another session. Only the pid's session
-  /// writes it, but the wheel raises the signal and cancel_deadlines takes
-  /// a dead pid's deadline.
-  struct alignas(pal::kCacheLine) PidLocal {
-    AbortSignal signal;  ///< timed attempts only
-    std::atomic<TimerWheel::Token> deadline{0};  ///< armed token; 0 = none
-    std::atomic<std::uint32_t> guard_depth{0};   ///< live guards
-  };
-
   ShmTableConfig config_;
   std::unique_ptr<ShmArena> arena_;
   ServiceHeader* header_;  ///< shm: layout/config discovery for inspectors
@@ -704,10 +516,6 @@ class ShmNamedLockTable {
   ProcessRegistry registry_;
   obs::ShmMetrics shm_metrics_;  ///< segment-hosted, crash-surviving sink
   std::vector<std::unique_ptr<Stripe>> stripes_;
-  /// One per dense pid. Declared before wheel_ so it outlives the wheel
-  /// thread, which raises the signals in it.
-  std::unique_ptr<PidLocal[]> local_;
-  TimerWheel wheel_;
   RecoveryStats stats_;
 };
 

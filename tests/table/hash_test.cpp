@@ -93,6 +93,22 @@ TEST(StripeIndexDeathTest, StripeAccessorsRejectIndexPastStripeCount) {
   (void)shm->stripe(1);
   EXPECT_DEATH((void)shm->stripe(2), "stripe index");
 }
+
+// auto_grow paces its policy checks by `n % grow_check_interval`, so an
+// interval of 0 would divide by zero on the first acquisition; the
+// constructor rejects it with a message instead.
+TEST(AutoGrowDeathTest, RejectsZeroCheckInterval) {
+  EXPECT_DEATH(
+      {
+        NamedLockTable named({.max_threads = 1,
+                              .stripes = 2,
+                              .auto_grow = true,
+                              .grow_check_interval = 0});
+        auto session = named.open_session();
+        (void)session.acquire(std::uint64_t{1});
+      },
+      "grow_check_interval");
+}
 #endif
 
 }  // namespace
