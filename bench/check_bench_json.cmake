@@ -1,32 +1,19 @@
-# ctest script: run a bench twice with the same configuration and assert
-# (a) each run writes a structurally sane BENCH_<name>.json and (b) the two
-# files agree — byte-identical for the deterministic counting-model benches,
-# which is the contract the PR-over-PR regression trail depends on.
+# ctest script: run a counting-model bench twice with the same
+# configuration and assert (a) each run writes a structurally sane
+# BENCH_<name>.json, (b) the two files are byte-identical, and (c) the first
+# is byte-identical to the committed repo-root copy — the contract the
+# PR-over-PR regression trail depends on.
 #
 # Invoked as:
 #   cmake -DBENCH_BIN=<path> -DBENCH_NAME=<name> -DWORK_DIR=<dir>
-#         (-DNORMALIZE=ON | -DCOMMITTED=<repo-root BENCH_<name>.json>)
-#         -P check_bench_json.cmake
+#         -DCOMMITTED=<repo-root BENCH_<name>.json> -P check_bench_json.cmake
 #
-# NORMALIZE=ON is for wall-clock benches (ipc_recovery, native_throughput):
-# their values legitimately differ every run, so every digit run in both
-# files is rewritten to 0 before the comparison. That still pins the report
-# *shape* — a dropped measurement, a renamed summary key, or a table row
-# that appears only sometimes fails the check — without failing on jitter.
-#
-# COMMITTED=<path> is for the deterministic benches: both runs pin
-# AMLOCK_GIT_REV=committed (as the bench_smoke target does) and the first
-# report must then be byte-identical to the committed copy at <path>, so any
-# drift from the versioned bench trajectory fails locally, not only in CI.
+# Both runs pin AMLOCK_GIT_REV=committed (as the bench_smoke target does),
+# so any drift from the versioned bench trajectory fails locally, not only
+# in CI.
 
-if(NOT BENCH_BIN OR NOT BENCH_NAME OR NOT WORK_DIR OR
-   (NOT NORMALIZE AND NOT COMMITTED))
-  message(FATAL_ERROR "usage: cmake -DBENCH_BIN=... -DBENCH_NAME=... -DWORK_DIR=... (-DNORMALIZE=ON | -DCOMMITTED=<json>) -P check_bench_json.cmake")
-endif()
-
-set(rev_env "")
-if(COMMITTED)
-  set(rev_env "AMLOCK_GIT_REV=committed")
+if(NOT BENCH_BIN OR NOT BENCH_NAME OR NOT WORK_DIR OR NOT COMMITTED)
+  message(FATAL_ERROR "usage: cmake -DBENCH_BIN=... -DBENCH_NAME=... -DWORK_DIR=... -DCOMMITTED=<json> -P check_bench_json.cmake")
 endif()
 
 foreach(run run1 run2)
@@ -34,8 +21,8 @@ foreach(run run1 run2)
   file(REMOVE_RECURSE "${dir}")
   file(MAKE_DIRECTORY "${dir}")
   execute_process(
-    COMMAND ${CMAKE_COMMAND} -E env "AMLOCK_BENCH_DIR=${dir}" ${rev_env}
-            "${BENCH_BIN}"
+    COMMAND ${CMAKE_COMMAND} -E env "AMLOCK_BENCH_DIR=${dir}"
+            "AMLOCK_GIT_REV=committed" "${BENCH_BIN}"
     RESULT_VARIABLE rc
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err
@@ -64,38 +51,19 @@ if(pos EQUAL -1)
   message(FATAL_ERROR "BENCH_${BENCH_NAME}.json has wrong bench name:\n${content}")
 endif()
 
-if(NORMALIZE)
-  # Wall-clock bench: zero every digit run (ints, decimals, exponents all
-  # collapse to strings of zeros) in both files, then require the skeletons
-  # to match. Applied identically to both sides, so structure — keys, rows,
-  # value count — is still pinned.
-  foreach(idx 1 2)
-    file(READ "${json${idx}}" raw)
-    string(REGEX REPLACE "[0-9]+" "0" raw "${raw}")
-    file(WRITE "${WORK_DIR}/run${idx}/normalized.json" "${raw}")
-    set(json${idx} "${WORK_DIR}/run${idx}/normalized.json")
-  endforeach()
-  set(contract "identical shape (values normalized)")
-else()
-  set(contract "byte-identical")
-endif()
-
 # Determinism contract across the two runs.
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E compare_files "${json1}" "${json2}"
   RESULT_VARIABLE diff)
 if(NOT diff EQUAL 0)
-  message(FATAL_ERROR "BENCH_${BENCH_NAME}.json not ${contract} between identical runs")
+  message(FATAL_ERROR "BENCH_${BENCH_NAME}.json not byte-identical between identical runs")
 endif()
 
-if(COMMITTED)
-  execute_process(
-    COMMAND ${CMAKE_COMMAND} -E compare_files "${json1}" "${COMMITTED}"
-    RESULT_VARIABLE drift)
-  if(NOT drift EQUAL 0)
-    message(FATAL_ERROR "BENCH_${BENCH_NAME}.json differs from the committed ${COMMITTED}: behavior drifted (regenerate with the bench_smoke target only if the change is intended)")
-  endif()
-  set(committed_note " and to the committed copy")
+execute_process(
+  COMMAND ${CMAKE_COMMAND} -E compare_files "${json1}" "${COMMITTED}"
+  RESULT_VARIABLE drift)
+if(NOT drift EQUAL 0)
+  message(FATAL_ERROR "BENCH_${BENCH_NAME}.json differs from the committed ${COMMITTED}: behavior drifted (regenerate with the bench_smoke target only if the change is intended)")
 endif()
 
-message(STATUS "BENCH_${BENCH_NAME}.json: schema ok, ${contract} across runs${committed_note}")
+message(STATUS "BENCH_${BENCH_NAME}.json: schema ok, byte-identical across runs and to the committed copy")

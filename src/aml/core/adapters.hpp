@@ -4,6 +4,9 @@
 //   * TimerWheel               — one background thread that raises
 //                                AbortSignals at deadlines (the watchdog
 //                                pattern every timed-try-lock needs);
+//   * timed_enter              — the one timed attempt (reset, arm, enter,
+//                                cancel), shared by TimedAbortableLock and
+//                                both named-lock tables;
 //   * TimedAbortableLock       — try_enter_for / try_enter_until built from
 //                                the lock's bounded-abort guarantee;
 //   * StdAbortableMutex        — satisfies the standard Lockable concept
@@ -162,6 +165,20 @@ class TimerWheel {
   std::thread thread_;
 };
 
+/// The one timed attempt: lower `signal`, arm it on `wheel` for `when`, run
+/// `enter(signal)`, then cancel the deadline. The token lives only in this
+/// frame, so no deadline outlives its attempt. If the deadline fired first,
+/// the cancel is a no-op and the signal stays raised until the next reset.
+template <typename Enter>
+bool timed_enter(TimerWheel& wheel, AbortSignal& signal,
+                 TimerWheel::Clock::time_point when, Enter&& enter) {
+  signal.reset();
+  const TimerWheel::Token token = wheel.arm(signal, when);
+  const bool ok = enter(signal);
+  wheel.cancel(token);
+  return ok;
+}
+
 /// AbortableLock plus deadline-based acquisition. Each thread id owns a
 /// dedicated signal slot, so concurrent timed attempts do not interfere.
 class TimedAbortableLock {
@@ -174,12 +191,10 @@ class TimedAbortableLock {
   }
 
   bool try_enter_until(std::uint32_t tid, TimerWheel::Clock::time_point when) {
-    AbortSignal& signal = signals_[tid];
-    signal.reset();
-    const TimerWheel::Token token = wheel_.arm(signal, when);
-    const bool ok = lock_.enter(tid, signal);
-    wheel_.cancel(token);
-    return ok;
+    return timed_enter(wheel_, signals_[tid], when,
+                       [&](const AbortSignal& signal) {
+                         return lock_.enter(tid, signal);
+                       });
   }
 
   void enter(std::uint32_t tid) { lock_.enter(tid); }

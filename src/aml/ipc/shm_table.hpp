@@ -13,7 +13,7 @@
 // ProcessRegistry (so ids are unique across all attached processes). A passage
 // writes no bookkeeping that another pid also writes: its activity record
 // (attempts, last event time) is the pid's own ShmMetrics counter cell, and its
-// armed deadline and guard depth sit on the frontend's process-local per-pid
+// abort signal and guard depth sit on the frontend's process-local per-pid
 // line (death detection is ESRCH + start-time — see process_registry.hpp). When
 // a process dies holding locks, a survivor's Session::recover_dead() finds the
 // stale slots, claims them, and drives each victim passage through the
@@ -32,7 +32,8 @@
 //     auto-grow reallocates stripe arrays, which a sealed bump arena cannot
 //     express;
 //   * deadlines/abort signals are process-local (the frontend's TimerWheel
-//     in each process); recovery cancels a dead pid's local deadline.
+//     in each process); a deadline lives only as long as its attempt, so a
+//     dead pid leaves none for recovery to cancel.
 #pragma once
 
 #include <atomic>
@@ -119,7 +120,6 @@ struct RecoveryStats {
   std::uint64_t forced_exits = 0;    ///< holding victims driven to exit
   std::uint64_t resignals = 0;       ///< mid-exit hand-offs re-driven
   std::uint64_t zombie_pids = 0;     ///< pids retired (doorway-blind window)
-  std::uint64_t cancelled_deadlines = 0;  ///< victim timers disarmed locally
   std::uint64_t zombies_reclaimed = 0;  ///< retired pids freed after epoch
   std::uint64_t reentries = 0;       ///< own passages resumed via reattach
   /// LockDesc refcnt units on any stripe with no journaled passage behind
@@ -270,10 +270,10 @@ class ShmNamedLockTable : public table::Frontend<ShmNamedLockTable> {
   /// OS start-time mismatch, which covers the restarted process re-drawing
   /// its own old OS pid. Every stripe's recovery arm then runs exactly as a
   /// survivor's would (the journal, not the executor, drives the repair),
-  /// local deadlines are cancelled, and the slot is repossessed under a
-  /// fresh token. Empty if the claim was lost (already re-leased or swept;
-  /// fall back to open_session()) or if the old incarnation died in the
-  /// doorway-blind window (the pid is retired as usual).
+  /// and the slot is repossessed under a fresh token. Empty if the claim was
+  /// lost (already re-leased or swept; fall back to open_session()) or if the
+  /// old incarnation died in the doorway-blind window (the pid is retired as
+  /// usual).
   std::optional<Session> reattach_session(Pid id, std::uint64_t prev_token) {
     if (id >= config_.nprocs) return std::nullopt;
     if (!registry_.try_reattach(id, prev_token)) return std::nullopt;
@@ -282,7 +282,6 @@ class ShmNamedLockTable : public table::Frontend<ShmNamedLockTable> {
     // process holds its exclusive kRecovering claim, so this is the normal
     // proxy pattern with the proxy running under the owner's own pid.
     const bool zombie = recover_stripes(id, id, self_os);
-    if (take_deadline(id)) stats_.cancelled_deadlines++;
     if (zombie) {
       registry_.finish_recovery(id, true);
       stats_.zombie_pids++;
@@ -355,7 +354,6 @@ class ShmNamedLockTable : public table::Frontend<ShmNamedLockTable> {
       if (victim == exec || !registry_.dead(victim)) continue;
       if (!registry_.try_claim_recovery(victim)) continue;
       const bool zombie = recover_stripes(exec, victim, self_os);
-      if (take_deadline(victim)) stats_.cancelled_deadlines++;
       registry_.finish_recovery(victim, zombie);
       repaired++;
       if (zombie) {

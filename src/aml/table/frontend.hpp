@@ -18,14 +18,13 @@
 // plus a public stripe_count(). A capability a placement lacks is gated by
 // `requires`, not emulated.
 //
-// Deadline slot and guard depth: a timed attempt parks its armed token in
-// the pid's deadline slot while it enters, then takes it back with
-// exchange(0) and cancels it; take_deadline (shm recovery of a dead pid)
-// takes it with the same exchange, so exactly one side cancels. The guard
-// depth feeds note_idle: a pid provably holds no lock once its last guard is
-// released, or when an acquisition fails while it holds none. Only the
-// pid's session (one thread at a time) writes either word, so an update is a
-// load and a store on the pid's own line: no RMW, no shared line.
+// The timed attempt is aml::timed_enter (core/adapters.hpp): the deadline's
+// token lives on the attempt's stack and is cancelled when `enter` returns,
+// so no deadline outlives its attempt and nothing else can reach it. The
+// guard depth feeds note_idle: a pid provably holds no lock once its last
+// guard is released, or when an acquisition fails while it holds none. Only
+// the pid's session (one thread at a time) writes it, so an update is a load
+// and a store on the pid's own line: no RMW, no shared line.
 #pragma once
 
 #include <algorithm>
@@ -68,20 +67,9 @@ class Frontend {
   /// Armed, unfired deadlines on this process's wheel (0 when idle).
   std::size_t pending_deadlines() const { return wheel_.pending(); }
 
-  /// Test hook: arm `id`'s deadline without entering a lock (one per pid).
-  TimerWheel::Token debug_arm(Pid id, Clock::time_point when) {
-    AML_ASSERT(id < nprocs_, "debug_arm: pid out of range");
-    std::atomic<TimerWheel::Token>& slot = local_[id].deadline;
-    AML_ASSERT(slot.load(std::memory_order_relaxed) == 0,  // AML_RELAXED(owner-written deadline slot)
-               "debug_arm: pid already has an armed deadline");
-    const TimerWheel::Token token = wheel_.arm(local_[id].signal, when);
-    slot.store(token, std::memory_order_relaxed);  // AML_RELAXED(owner-written deadline slot)
-    return token;
-  }
-
   /// A session: a leased dense pid. Move-only. A Session and its guards are
   /// used by one thread at a time (the lock runs one passage per pid at a
-  /// time; the pid's deadline slot and guard depth are written only by that
+  /// time; the pid's signal and guard depth are written only by that
   /// thread); hand one over only via a join or a mutex. All guards must be
   /// released before the Session closes, and it must not outlive its table.
   class Session {
@@ -129,8 +117,8 @@ class Frontend {
     template <typename Key>
     std::optional<Guard> try_acquire_until(Key key, Clock::time_point when) {
       const std::uint64_t h = key_hash(key);
-      const auto enter = [&](const std::atomic<bool>* stop) {
-        return owner_->self().enter_hash(id_, h, stop);
+      const auto enter = [&](const AbortSignal& signal) {
+        return owner_->self().enter_hash(id_, h, signal.flag());
       };
       return guard_if(owner_->timed_enter(id_, when, enter), h);
     }
@@ -199,8 +187,8 @@ class Frontend {
           attempt_deadline = now + slice;
         }
         const bool ok = owner_->timed_enter(
-            id_, attempt_deadline, [&](const std::atomic<bool>* stop) {
-              return owner_->self().enter_hashes(id_, hashes, stop);
+            id_, attempt_deadline, [&](const AbortSignal& signal) {
+              return owner_->self().enter_hashes(id_, hashes, signal.flag());
             });
         if (ok) return MultiGuard(*owner_, id_, std::move(hashes));
         if (Clock::now() >= deadline) break;
@@ -323,24 +311,14 @@ class Frontend {
   };
 
  protected:
-  explicit Frontend(Pid nprocs)
-      : nprocs_(nprocs), local_(new PidLocal[nprocs]) {}
+  explicit Frontend(Pid nprocs) : local_(new PidLocal[nprocs]) {}
 
-  /// A session on a freshly leased pid, starting from a lowered signal.
+  /// A session on a freshly leased pid, starting from a lowered signal: a
+  /// raise left by the pid's previous leaseholder (a deadline that fired as
+  /// its attempt ended, or a holder that died) cannot leak into it.
   Session make_session(Pid id, std::uint64_t token) {
     local_[id].signal.reset();
     return Session(*this, id, token);
-  }
-
-  /// Disarm the deadline this process armed for `victim` (a pid whose
-  /// holder died), if still armed, and reset its signal so a stale raise
-  /// cannot leak into the next leaseholder. True iff a token was cancelled.
-  bool take_deadline(Pid victim) {
-    const TimerWheel::Token token = local_[victim].deadline.exchange(
-        0, std::memory_order_relaxed);  // AML_RELAXED(token hand-over; the wheel's mutex orders arm/cancel)
-    if (token != 0) wheel_.cancel(token);
-    local_[victim].signal.reset();
-    return token != 0;
   }
 
  private:
@@ -353,19 +331,12 @@ class Frontend {
     return static_cast<std::uint32_t>(hash) & (self().stripe_count() - 1);
   }
 
-  /// The one timed attempt: `enter(stop)` runs against the pid's signal
-  /// while the armed token sits in the pid's deadline slot.
+  /// A timed attempt of `pid`: `enter(signal)` runs against the pid's
+  /// signal, which the wheel raises at `when`.
   template <typename Enter>
   bool timed_enter(Pid pid, Clock::time_point when, Enter&& enter) {
-    PidLocal& local = local_[pid];
-    local.signal.reset();
-    local.deadline.store(wheel_.arm(local.signal, when),
-                         std::memory_order_relaxed);  // AML_RELAXED(token hand-over; the wheel's mutex orders arm/cancel)
-    const bool ok = enter(local.signal.flag());
-    const TimerWheel::Token token =
-        local.deadline.exchange(0, std::memory_order_relaxed);  // AML_RELAXED(token hand-over; the wheel's mutex orders arm/cancel)
-    if (token != 0) wheel_.cancel(token);
-    return ok;
+    return aml::timed_enter(wheel_, local_[pid].signal, when,
+                            std::forward<Enter>(enter));
   }
 
   void guard_acquired(Pid id) {
@@ -388,15 +359,12 @@ class Frontend {
 
   /// Process-local state of one pid, one cache line so a waiter polling its
   /// signal never shares it with another session. Only the pid's session
-  /// writes it, but the wheel raises the signal and take_deadline takes a
-  /// dead pid's deadline.
+  /// writes it, but the wheel raises the signal.
   struct alignas(pal::kCacheLine) PidLocal {
     AbortSignal signal;  ///< timed attempts only
-    std::atomic<TimerWheel::Token> deadline{0};  ///< armed token; 0 = none
-    std::atomic<std::uint32_t> guard_depth{0};   ///< live guards
+    std::atomic<std::uint32_t> guard_depth{0};  ///< live guards
   };
 
-  Pid nprocs_;
   /// One per dense pid. Declared before wheel_ so it outlives the wheel
   /// thread, which raises the signals in it.
   std::unique_ptr<PidLocal[]> local_;

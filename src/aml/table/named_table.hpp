@@ -6,9 +6,11 @@
 //   * ThreadRegistry integration: OS threads open a Session (RAII lease of a
 //     dense id), so thread pools need no manual id bookkeeping and ids are
 //     recycled as workers come and go;
-//   * deadline-based acquisition: try_acquire_for/until arm a TimerWheel
-//     deadline that raises the abort signal, and the lock's bounded-abort
-//     guarantee turns that into a bounded-latency negative answer;
+//   * deadline-based acquisition: try_acquire_for/until run the one timed
+//     attempt, aml::timed_enter, whose TimerWheel deadline raises the pid's
+//     abort signal and is cancelled when the attempt returns; the lock's
+//     bounded-abort guarantee turns that into a bounded-latency negative
+//     answer;
 //   * multi-key transactions: acquire_all takes the distinct stripes in
 //     a global total order (deadlock-free among acquire_all users); the
 //     timed variant optionally slices its budget into shorter attempts,

@@ -18,6 +18,7 @@
 
 #include "aml/ipc/process_registry.hpp"
 #include "aml/ipc/shm_arena.hpp"
+#include "shm_test_segment.hpp"
 
 namespace aml::ipc {
 namespace {
@@ -29,22 +30,13 @@ using model::Pid;
 constexpr std::uint64_t kForgedDeadPid = 0x7FFF'FFFF;
 
 struct RegistryFixture {
-  explicit RegistryFixture(Pid nprocs)
-      : name("/aml-test-reg-" + std::to_string(::getpid()) + "-" +
-             std::to_string(next_id())) {
+  explicit RegistryFixture(Pid nprocs) {
     std::string error;
-    arena = ShmArena::create(name, 1 << 16, 0, &error);
+    arena = shm_test::create_unlinked<ShmArena>("reg", 1 << 16, 0, &error);
     AML_ASSERT(arena != nullptr, "fixture arena create failed");
     registry = std::make_unique<ProcessRegistry>(*arena, nprocs);
   }
-  ~RegistryFixture() { ShmArena::unlink(name); }
 
-  static int next_id() {
-    static int counter = 0;
-    return counter++;
-  }
-
-  std::string name;
   std::unique_ptr<ShmArena> arena;
   std::unique_ptr<ProcessRegistry> registry;
 };

@@ -18,29 +18,15 @@
 
 #include "aml/ipc/offset_ptr.hpp"
 #include "aml/ipc/shm_arena.hpp"
+#include "shm_test_segment.hpp"
 
 namespace aml::ipc {
 namespace {
 
-/// Unique-per-test segment name: shm lives in a kernel-global namespace, so
-/// collisions with a concurrently running binary (or a crashed previous run)
-/// must be impossible.
-std::string unique_name(const char* tag) {
-  static std::atomic<int> counter{0};
-  return std::string("/aml-test-") + tag + "-" +
-         std::to_string(::getpid()) + "-" +
-         std::to_string(counter.fetch_add(1));
-}
-
-/// Unlinks the segment name even when an ASSERT bails out of the test body.
-struct ScopedSegment {
-  explicit ScopedSegment(std::string n) : name(std::move(n)) {}
-  ~ScopedSegment() { ShmArena::unlink(name); }
-  std::string name;
-};
+using namespace shm_test;
 
 TEST(ShmIpcArena, CreateSealAttachSharesWords) {
-  ScopedSegment seg(unique_name("arena"));
+  ScopedSegment seg("arena");
   std::string error;
 
   auto creator = ShmArena::create(seg.name, 1 << 16, /*config_hash=*/42,
@@ -55,6 +41,7 @@ TEST(ShmIpcArena, CreateSealAttachSharesWords) {
   creator->seal();
 
   auto attacher = ShmArena::attach(seg.name, 42, &error);
+  seg.unlink();
   ASSERT_NE(attacher, nullptr) << error;
   EXPECT_FALSE(attacher->creating());
 
@@ -75,7 +62,7 @@ TEST(ShmIpcArena, CreateSealAttachSharesWords) {
 }
 
 TEST(ShmIpcArena, VerifyReplayCatchesLayoutDrift) {
-  ScopedSegment seg(unique_name("drift"));
+  ScopedSegment seg("arena-drift");
   std::string error;
 
   auto creator = ShmArena::create(seg.name, 1 << 16, 7, &error);
@@ -84,6 +71,7 @@ TEST(ShmIpcArena, VerifyReplayCatchesLayoutDrift) {
   creator->seal();
 
   auto attacher = ShmArena::attach(seg.name, 7, &error);
+  seg.unlink();
   ASSERT_NE(attacher, nullptr) << error;
   attacher->alloc_array<std::uint64_t>(17);  // one word of drift
   EXPECT_FALSE(attacher->verify_replay(&error));
@@ -91,7 +79,7 @@ TEST(ShmIpcArena, VerifyReplayCatchesLayoutDrift) {
 }
 
 TEST(ShmIpcArena, AttachRejectsConfigHashMismatch) {
-  ScopedSegment seg(unique_name("hash"));
+  ScopedSegment seg("arena-hash");
   std::string error;
 
   auto creator = ShmArena::create(seg.name, 1 << 16, 1234, &error);
@@ -99,19 +87,21 @@ TEST(ShmIpcArena, AttachRejectsConfigHashMismatch) {
   creator->seal();
 
   auto attacher = ShmArena::attach(seg.name, 9999, &error);
+  seg.unlink();
   EXPECT_EQ(attacher, nullptr);
   EXPECT_NE(error.find("config hash"), std::string::npos) << error;
 }
 
 TEST(ShmIpcArena, AttachMissingSegmentFails) {
   std::string error;
-  auto attacher = ShmArena::attach(unique_name("missing"), 0, &error);
+  auto attacher =
+      ShmArena::attach(unique_segment_name("arena-missing"), 0, &error);
   EXPECT_EQ(attacher, nullptr);
   EXPECT_FALSE(error.empty());
 }
 
 TEST(ShmIpcArena, AttachTimesOutOnUnsealedSegment) {
-  ScopedSegment seg(unique_name("unsealed"));
+  ScopedSegment seg("arena-unsealed");
   std::string error;
 
   auto creator = ShmArena::create(seg.name, 1 << 16, 5, &error);
@@ -119,6 +109,7 @@ TEST(ShmIpcArena, AttachTimesOutOnUnsealedSegment) {
   // No seal(): an attacher must not observe the half-built segment.
   auto attacher = ShmArena::attach(seg.name, 5, &error,
                                    std::chrono::milliseconds(50));
+  seg.unlink();
   EXPECT_EQ(attacher, nullptr);
   EXPECT_NE(error.find("never sealed"), std::string::npos) << error;
 }
@@ -129,7 +120,7 @@ TEST(ShmIpcArena, AttachTimesOutOnUnsealedSegment) {
 /// played by raw syscalls so the zero-size window can be held open
 /// deterministically (ShmArena::create sizes the segment immediately).
 TEST(ShmIpcArena, AttachWaitsOutCreatorSizingRace) {
-  ScopedSegment seg(unique_name("sizerace"));
+  ScopedSegment seg("arena-sizerace");
   constexpr std::uint64_t kBytes = 1 << 16;
 
   const int fd =
@@ -158,13 +149,14 @@ TEST(ShmIpcArena, AttachWaitsOutCreatorSizingRace) {
   sb->ready.store(1, std::memory_order_release);
 
   attacher.join();
+  seg.unlink();
   EXPECT_NE(attached, nullptr) << error;
   ::munmap(base, kBytes);
   ::close(fd);
 }
 
 TEST(ShmIpcArena, AttachTimesOutOnNeverSizedSegment) {
-  ScopedSegment seg(unique_name("unsized"));
+  ScopedSegment seg("arena-unsized");
   const int fd =
       ::shm_open(seg.name.c_str(), O_CREAT | O_EXCL | O_RDWR, 0600);
   ASSERT_GE(fd, 0);  // zero-sized forever: the creator "died" pre-ftruncate
@@ -172,26 +164,27 @@ TEST(ShmIpcArena, AttachTimesOutOnNeverSizedSegment) {
   std::string error;
   auto attached = ShmArena::attach(seg.name, 0, &error,
                                    std::chrono::milliseconds(50));
+  seg.unlink();
   EXPECT_EQ(attached, nullptr);
   EXPECT_NE(error.find("unsized"), std::string::npos) << error;
   ::close(fd);
 }
 
 TEST(ShmIpcArena, CreateRefusesExistingName) {
-  ScopedSegment seg(unique_name("dup"));
+  ScopedSegment seg("arena-dup");
   std::string error;
 
   auto first = ShmArena::create(seg.name, 1 << 16, 0, &error);
   ASSERT_NE(first, nullptr) << error;
   auto second = ShmArena::create(seg.name, 1 << 16, 0, &error);
+  seg.unlink();
   EXPECT_EQ(second, nullptr);
   EXPECT_FALSE(error.empty());
 }
 
 TEST(ShmIpcArena, AllocRespectsAlignment) {
-  ScopedSegment seg(unique_name("align"));
   std::string error;
-  auto arena = ShmArena::create(seg.name, 1 << 16, 0, &error);
+  auto arena = create_unlinked<ShmArena>("arena-align", 1 << 16, 0, &error);
   ASSERT_NE(arena, nullptr) << error;
 
   arena->alloc_offset(1, 1);  // misalign the cursor on purpose
@@ -205,7 +198,7 @@ TEST(ShmIpcArena, AllocRespectsAlignment) {
 }
 
 TEST(ShmIpcOffsetPtr, RoundTripsThroughDifferentBases) {
-  ScopedSegment seg(unique_name("offptr"));
+  ScopedSegment seg("arena-offptr");
   std::string error;
 
   auto creator = ShmArena::create(seg.name, 1 << 16, 3, &error);
@@ -217,6 +210,7 @@ TEST(ShmIpcOffsetPtr, RoundTripsThroughDifferentBases) {
   creator->seal();
 
   auto attacher = ShmArena::attach(seg.name, 3, &error);
+  seg.unlink();
   ASSERT_NE(attacher, nullptr) << error;
   attacher->alloc_array<std::uint64_t>(1);
   auto* slot_replica = attacher->alloc_array<offset_ptr<std::uint64_t>>(1);
@@ -233,9 +227,8 @@ TEST(ShmIpcOffsetPtr, RoundTripsThroughDifferentBases) {
 }
 
 TEST(ShmIpcOffsetPtr, SpanIndexesElements) {
-  ScopedSegment seg(unique_name("offspan"));
   std::string error;
-  auto arena = ShmArena::create(seg.name, 1 << 16, 0, &error);
+  auto arena = create_unlinked<ShmArena>("arena-offspan", 1 << 16, 0, &error);
   ASSERT_NE(arena, nullptr) << error;
 
   auto* elems = arena->alloc_array<std::uint64_t>(4);

@@ -24,19 +24,15 @@
 #include "aml/ipc/stat_snapshot.hpp"
 #include "aml/obs/shm_metrics.hpp"
 #include "aml/obs/trace_export.hpp"
+#include "shm_test_segment.hpp"
 
 namespace aml::ipc {
 namespace {
 
 using namespace std::chrono_literals;
+using namespace shm_test;
 
 constexpr std::uint64_t kKey = 11;
-
-std::string unique_name(const char* tag) {
-  static int counter = 0;
-  return std::string("/aml-test-fork-") + tag + "-" +
-         std::to_string(::getpid()) + "-" + std::to_string(counter++);
-}
 
 ShmTableConfig fork_config() {
   ShmTableConfig cfg;
@@ -119,13 +115,13 @@ int child_main(const std::string& seg, int rfd, int wfd, Action action) {
 }
 
 TEST(ShmIpcFork, TwoProcessesCooperateOnOneKey) {
-  const std::string seg = unique_name("coop");
+  ScopedSegment seg("fork-coop");
   Pipes p;
   const pid_t child = ::fork();
   ASSERT_GE(child, 0);
   if (child == 0) {
     const int rc = child_main(
-        seg, p.to_child[0], p.to_parent[1],
+        seg.name, p.to_child[0], p.to_parent[1],
         [](ShmNamedLockTable&, ShmNamedLockTable::Session& session, int rfd,
            int wfd) {
           auto guard = session.acquire(kKey);
@@ -138,10 +134,11 @@ TEST(ShmIpcFork, TwoProcessesCooperateOnOneKey) {
   }
 
   std::string error;
-  auto table = ShmNamedLockTable::create(seg, fork_config(), &error);
+  auto table = ShmNamedLockTable::create(seg.name, fork_config(), &error);
   ASSERT_NE(table, nullptr) << error;
   write_byte(p.to_child[1], 'C');
   ASSERT_TRUE(read_byte(p.to_parent[0], 'H'));
+  seg.unlink();  // the child has attached
 
   auto session = table->open_session();
   ASSERT_TRUE(session.has_value());
@@ -158,17 +155,16 @@ TEST(ShmIpcFork, TwoProcessesCooperateOnOneKey) {
   // The child's orderly release handed the lock over cleanly.
   auto guard = session->try_acquire_for(kKey, 2s);
   EXPECT_TRUE(guard.has_value());
-  ShmNamedLockTable::unlink(seg);
 }
 
 TEST(ShmIpcFork, SigkilledHolderRecoveredInOneSweep) {
-  const std::string seg = unique_name("kill");
+  ScopedSegment seg("fork-kill");
   Pipes p;
   const pid_t child = ::fork();
   ASSERT_GE(child, 0);
   if (child == 0) {
     const int rc = child_main(
-        seg, p.to_child[0], p.to_parent[1],
+        seg.name, p.to_child[0], p.to_parent[1],
         [](ShmNamedLockTable&, ShmNamedLockTable::Session& session, int,
            int wfd) {
           auto guard = session.acquire(kKey);
@@ -180,10 +176,11 @@ TEST(ShmIpcFork, SigkilledHolderRecoveredInOneSweep) {
   }
 
   std::string error;
-  auto table = ShmNamedLockTable::create(seg, fork_config(), &error);
+  auto table = ShmNamedLockTable::create(seg.name, fork_config(), &error);
   ASSERT_NE(table, nullptr) << error;
   write_byte(p.to_child[1], 'C');
   ASSERT_TRUE(read_byte(p.to_parent[0], 'H'));
+  seg.unlink();  // the child has attached
 
   // Identify the victim's dense pid before it dies so the post-mortem
   // assertions can name it.
@@ -248,17 +245,16 @@ TEST(ShmIpcFork, SigkilledHolderRecoveredInOneSweep) {
   // drove the victim's exit plus its own acquisition.
   EXPECT_GE(table->shm_metrics().pid_counters(survivor->id()).acquisitions,
             1u);
-  ShmNamedLockTable::unlink(seg);
 }
 
 TEST(ShmIpcFork, SigkilledWaiterForcedToAbort) {
-  const std::string seg = unique_name("waiter");
+  ScopedSegment seg("fork-waiter");
   Pipes p;
   const pid_t child = ::fork();
   ASSERT_GE(child, 0);
   if (child == 0) {
     const int rc = child_main(
-        seg, p.to_child[0], p.to_parent[1],
+        seg.name, p.to_child[0], p.to_parent[1],
         [](ShmNamedLockTable&, ShmNamedLockTable::Session& session, int,
            int wfd) {
           write_byte(wfd, 'W');       // about to enter
@@ -269,7 +265,7 @@ TEST(ShmIpcFork, SigkilledWaiterForcedToAbort) {
   }
 
   std::string error;
-  auto table = ShmNamedLockTable::create(seg, fork_config(), &error);
+  auto table = ShmNamedLockTable::create(seg.name, fork_config(), &error);
   ASSERT_NE(table, nullptr) << error;
   auto holder = table->open_session();
   auto survivor = table->open_session();
@@ -278,6 +274,7 @@ TEST(ShmIpcFork, SigkilledWaiterForcedToAbort) {
 
   write_byte(p.to_child[1], 'C');
   ASSERT_TRUE(read_byte(p.to_parent[0], 'W'));
+  seg.unlink();  // the child has attached
 
   // Find the child's leased pid (the live slot that is not ours), then wait
   // until its journal shows it inside the one-shot doorway — parked in the
@@ -339,7 +336,6 @@ TEST(ShmIpcFork, SigkilledWaiterForcedToAbort) {
   // Our guard was never disturbed; releasing it hands off normally.
   guard.release();
   EXPECT_TRUE(survivor->try_acquire_for(kKey, 2s).has_value());
-  ShmNamedLockTable::unlink(seg);
 }
 
 TEST(ShmIpcFork, SigkilledGrantedWaiterDrivenThroughCompleteGrant) {
@@ -347,13 +343,13 @@ TEST(ShmIpcFork, SigkilledGrantedWaiterDrivenThroughCompleteGrant) {
   // hand-off lands *after* its death — the grant stands (it reached the
   // victim's go word) but nobody is alive to acknowledge it. The sweep must
   // complete the grant on the victim's behalf and then exit for it.
-  const std::string seg = unique_name("grantee");
+  ScopedSegment seg("fork-grantee");
   Pipes p;
   const pid_t child = ::fork();
   ASSERT_GE(child, 0);
   if (child == 0) {
     const int rc = child_main(
-        seg, p.to_child[0], p.to_parent[1],
+        seg.name, p.to_child[0], p.to_parent[1],
         [](ShmNamedLockTable&, ShmNamedLockTable::Session& session, int,
            int wfd) {
           write_byte(wfd, 'W');                // about to enter
@@ -364,7 +360,7 @@ TEST(ShmIpcFork, SigkilledGrantedWaiterDrivenThroughCompleteGrant) {
   }
 
   std::string error;
-  auto table = ShmNamedLockTable::create(seg, fork_config(), &error);
+  auto table = ShmNamedLockTable::create(seg.name, fork_config(), &error);
   ASSERT_NE(table, nullptr) << error;
   auto holder = table->open_session();
   auto survivor = table->open_session();
@@ -373,6 +369,7 @@ TEST(ShmIpcFork, SigkilledGrantedWaiterDrivenThroughCompleteGrant) {
 
   write_byte(p.to_child[1], 'C');
   ASSERT_TRUE(read_byte(p.to_parent[0], 'W'));
+  seg.unlink();  // the child has attached
 
   const Pid nprocs = fork_config().nprocs;
   Pid victim = nprocs;
@@ -430,7 +427,6 @@ TEST(ShmIpcFork, SigkilledGrantedWaiterDrivenThroughCompleteGrant) {
 
   // The on-behalf exit freed the lock for the survivor.
   EXPECT_TRUE(survivor->try_acquire_for(kKey, 2s).has_value());
-  ShmNamedLockTable::unlink(seg);
 }
 
 TEST(ShmIpcFork, ReattachResumesOwnIdentityAfterSigkill) {
@@ -439,13 +435,13 @@ TEST(ShmIpcFork, ReattachResumesOwnIdentityAfterSigkill) {
   // (dense pid, lease token) pair and re-enters through reattach_session —
   // its own passage is resumed/unwound as self-recovery and the SAME dense
   // pid is re-leased to it, rather than a survivor racing it to the sweep.
-  const std::string seg = unique_name("reattach");
+  ScopedSegment seg("fork-reattach");
   Pipes p;
   const pid_t child = ::fork();
   ASSERT_GE(child, 0);
   if (child == 0) {
     const int rc = child_main(
-        seg, p.to_child[0], p.to_parent[1],
+        seg.name, p.to_child[0], p.to_parent[1],
         [](ShmNamedLockTable&, ShmNamedLockTable::Session& session, int,
            int wfd) {
           // Persist the re-entry identity first (a real service would write
@@ -461,12 +457,13 @@ TEST(ShmIpcFork, ReattachResumesOwnIdentityAfterSigkill) {
   }
 
   std::string error;
-  auto table = ShmNamedLockTable::create(seg, fork_config(), &error);
+  auto table = ShmNamedLockTable::create(seg.name, fork_config(), &error);
   ASSERT_NE(table, nullptr) << error;
   write_byte(p.to_child[1], 'C');
   std::uint64_t victim_u64 = 0;
   std::uint64_t token = 0;
   ASSERT_TRUE(read_u64(p.to_parent[0], &victim_u64));
+  seg.unlink();  // the child has attached
   ASSERT_TRUE(read_u64(p.to_parent[0], &token));
   ASSERT_TRUE(read_byte(p.to_parent[0], 'H'));
   const Pid victim = static_cast<Pid>(victim_u64);
@@ -508,7 +505,6 @@ TEST(ShmIpcFork, ReattachResumesOwnIdentityAfterSigkill) {
   // The resumed identity is fully functional: the key its previous
   // incarnation died holding is acquirable again by the reattached session.
   EXPECT_TRUE(reattached->try_acquire_for(kKey, 2s).has_value());
-  ShmNamedLockTable::unlink(seg);
 }
 
 }  // namespace

@@ -23,21 +23,17 @@
 #include "aml/ipc/stat_snapshot.hpp"
 #include "aml/obs/shm_metrics.hpp"
 #include "aml/obs/trace_export.hpp"
+#include "shm_test_segment.hpp"
 
 namespace aml::ipc {
 namespace {
 
 using namespace std::chrono_literals;
+using namespace shm_test;
 using obs::Event;
 using obs::EventKind;
 
 constexpr std::uint64_t kForgedDeadPid = 0x7FFF'FFFF;
-
-std::string unique_name(const char* tag) {
-  static int counter = 0;
-  return std::string("/aml-test-stat-") + tag + "-" +
-         std::to_string(::getpid()) + "-" + std::to_string(counter++);
-}
 
 ShmTableConfig small_config() {
   ShmTableConfig cfg;
@@ -46,12 +42,6 @@ ShmTableConfig small_config() {
   cfg.tree_width = 64;
   return cfg;
 }
-
-struct ScopedSegment {
-  explicit ScopedSegment(std::string n) : name(std::move(n)) {}
-  ~ScopedSegment() { ShmNamedLockTable::unlink(name); }
-  std::string name;
-};
 
 std::vector<Event> events_of_kind(const obs::ShmMetrics& shm,
                                   EventKind kind) {
@@ -65,9 +55,9 @@ std::vector<Event> events_of_kind(const obs::ShmMetrics& shm,
 // --- the shm ring itself ---------------------------------------------------
 
 TEST(ShmIpcStat, LifecycleEventsLandInTheSegmentRing) {
-  ScopedSegment seg(unique_name("ring"));
   std::string error;
-  auto table = ShmNamedLockTable::create(seg.name, small_config(), &error);
+  auto table =
+      create_unlinked<ShmNamedLockTable>("stat-ring", small_config(), &error);
   ASSERT_NE(table, nullptr) << error;
 
   auto session = table->open_session();
@@ -101,11 +91,10 @@ TEST(ShmIpcStat, LifecycleEventsLandInTheSegmentRing) {
 }
 
 TEST(ShmIpcStat, RingWrapKeepsNewestAndCountsDropped) {
-  ScopedSegment seg(unique_name("wrap"));
   ShmTableConfig cfg = small_config();
   cfg.ring_capacity = 16;  // tiny: 4 slots per pid, a passage or two wraps
   std::string error;
-  auto table = ShmNamedLockTable::create(seg.name, cfg, &error);
+  auto table = create_unlinked<ShmNamedLockTable>("stat-wrap", cfg, &error);
   ASSERT_NE(table, nullptr) << error;
 
   auto a = table->open_session();
@@ -155,11 +144,10 @@ TEST(ShmIpcStat, RingWrapKeepsNewestAndCountsDropped) {
 }
 
 TEST(ShmIpcStat, QuietPidEventsSurviveAnotherPidsFlood) {
-  ScopedSegment seg(unique_name("flood"));
   ShmTableConfig cfg = small_config();
   cfg.ring_capacity = 64;
   std::string error;
-  auto table = ShmNamedLockTable::create(seg.name, cfg, &error);
+  auto table = create_unlinked<ShmNamedLockTable>("stat-flood", cfg, &error);
   ASSERT_NE(table, nullptr) << error;
 
   auto victim = table->open_session();
@@ -187,11 +175,10 @@ TEST(ShmIpcStat, QuietPidEventsSurviveAnotherPidsFlood) {
 }
 
 TEST(ShmIpcStat, MergedStreamOrdersHandOffsByTime) {
-  ScopedSegment seg(unique_name("merge"));
   ShmTableConfig cfg = small_config();
   cfg.ring_capacity = 1u << 14;  // nothing wraps
   std::string error;
-  auto table = ShmNamedLockTable::create(seg.name, cfg, &error);
+  auto table = create_unlinked<ShmNamedLockTable>("stat-merge", cfg, &error);
   ASSERT_NE(table, nullptr) << error;
 
   constexpr int kPassages = 300;
@@ -239,9 +226,9 @@ TEST(ShmIpcStat, MergedStreamOrdersHandOffsByTime) {
 }
 
 TEST(ShmIpcStat, HandoffHistogramRecordsCrossSessionHandoffs) {
-  ScopedSegment seg(unique_name("handoff"));
   std::string error;
-  auto table = ShmNamedLockTable::create(seg.name, small_config(), &error);
+  auto table = create_unlinked<ShmNamedLockTable>("stat-handoff",
+                                                  small_config(), &error);
   ASSERT_NE(table, nullptr) << error;
 
   auto a = table->open_session();
@@ -264,9 +251,9 @@ TEST(ShmIpcStat, HandoffHistogramRecordsCrossSessionHandoffs) {
 // --- recovery dispatch arms: one typed event each, victim pid attached ----
 
 TEST(ShmIpcStat, ForcedExitArmEmitsOneTypedEventWithVictim) {
-  ScopedSegment seg(unique_name("fexit"));
   std::string error;
-  auto table = ShmNamedLockTable::create(seg.name, small_config(), &error);
+  auto table =
+      create_unlinked<ShmNamedLockTable>("stat-fexit", small_config(), &error);
   ASSERT_NE(table, nullptr) << error;
 
   auto victim = table->open_session();
@@ -295,9 +282,9 @@ TEST(ShmIpcStat, ForcedExitArmEmitsOneTypedEventWithVictim) {
 }
 
 TEST(ShmIpcStat, ZombieRetireArmEmitsOneTypedEventWithVictim) {
-  ScopedSegment seg(unique_name("zombie"));
   std::string error;
-  auto table = ShmNamedLockTable::create(seg.name, small_config(), &error);
+  auto table =
+      create_unlinked<ShmNamedLockTable>("stat-zombie", small_config(), &error);
   ASSERT_NE(table, nullptr) << error;
 
   auto victim = table->open_session();
@@ -324,9 +311,9 @@ TEST(ShmIpcStat, ZombieRetireArmEmitsOneTypedEventWithVictim) {
 }
 
 TEST(ShmIpcStat, JoinedVictimAbortedOnBehalfWithOneTypedEvent) {
-  ScopedSegment seg(unique_name("joined"));
   std::string error;
-  auto table = ShmNamedLockTable::create(seg.name, small_config(), &error);
+  auto table =
+      create_unlinked<ShmNamedLockTable>("stat-joined", small_config(), &error);
   ASSERT_NE(table, nullptr) << error;
 
   auto victim = table->open_session();
@@ -361,9 +348,9 @@ TEST(ShmIpcStat, JoinedVictimAbortedOnBehalfWithOneTypedEvent) {
 // --- passage tracer --------------------------------------------------------
 
 TEST(ShmIpcStat, TracerClosesVictimSpanForcedWithRecoveryAnnotation) {
-  ScopedSegment seg(unique_name("trace"));
   std::string error;
-  auto table = ShmNamedLockTable::create(seg.name, small_config(), &error);
+  auto table =
+      create_unlinked<ShmNamedLockTable>("stat-trace", small_config(), &error);
   ASSERT_NE(table, nullptr) << error;
 
   auto victim = table->open_session();
@@ -482,11 +469,10 @@ TEST(ShmIpcStat, SameScriptSameStreamInProcessAndInSegment) {
     lock.exit(0);
   }
 
-  ScopedSegment seg(unique_name("vocab"));
   ShmTableConfig cfg = small_config();
   cfg.stripes = 1;
   std::string error;
-  auto table = ShmNamedLockTable::create(seg.name, cfg, &error);
+  auto table = create_unlinked<ShmNamedLockTable>("stat-vocab", cfg, &error);
   ASSERT_NE(table, nullptr) << error;
   auto a = table->open_session();
   auto b = table->open_session();
@@ -541,9 +527,9 @@ TEST(ShmIpcStat, SameScriptSameStreamInProcessAndInSegment) {
 // --- aml_stat snapshot -----------------------------------------------------
 
 TEST(ShmIpcStat, StatJsonReportsVictimPhaseThenRecoveryCounters) {
-  ScopedSegment seg(unique_name("json"));
   std::string error;
-  auto table = ShmNamedLockTable::create(seg.name, small_config(), &error);
+  auto table =
+      create_unlinked<ShmNamedLockTable>("stat-json", small_config(), &error);
   ASSERT_NE(table, nullptr) << error;
 
   auto victim = table->open_session();
@@ -583,9 +569,9 @@ TEST(ShmIpcStat, StatJsonReportsVictimPhaseThenRecoveryCounters) {
 // its shm counter cell: one per grant and one per timeout — not a count of
 // acquire and release calls — and its age is the time since its last event.
 TEST(ShmIpcStat, HeartbeatCountsAttemptsFromTheCounterCell) {
-  ScopedSegment seg(unique_name("heartbeat"));
   std::string error;
-  auto table = ShmNamedLockTable::create(seg.name, small_config(), &error);
+  auto table = create_unlinked<ShmNamedLockTable>("stat-heartbeat",
+                                                  small_config(), &error);
   ASSERT_NE(table, nullptr) << error;
 
   auto holder = table->open_session();
@@ -620,7 +606,7 @@ TEST(ShmIpcStat, HeartbeatCountsAttemptsFromTheCounterCell) {
 }
 
 TEST(ShmIpcStat, PeekConfigDiscoversCreatorLayout) {
-  ScopedSegment seg(unique_name("peek"));
+  ScopedSegment seg("stat-peek");
   ShmTableConfig cfg = small_config();
   cfg.ring_capacity = 512;
   std::string error;
@@ -638,6 +624,7 @@ TEST(ShmIpcStat, PeekConfigDiscoversCreatorLayout) {
   EXPECT_EQ(peeked.ring_capacity, cfg.ring_capacity);
 
   auto replica = ShmNamedLockTable::attach(seg.name, peeked, &error);
+  seg.unlink();
   ASSERT_NE(replica, nullptr) << error;
   // The replica reads the same segment-hosted metrics words.
   { auto guard = table->open_session()->acquire(std::uint64_t{1}); }
@@ -649,7 +636,7 @@ TEST(ShmIpcStat, PeekConfigDiscoversCreatorLayout) {
 // its heartbeat words): a segment laid out by the previous layout's binary
 // must be refused, never replayed.
 TEST(ShmIpcStat, PreviousLayoutSegmentIsRejectedCleanly) {
-  ScopedSegment seg(unique_name("prevlayout"));
+  ScopedSegment seg("stat-prevlayout");
   const ShmTableConfig cfg = small_config();
   std::string error;
   auto table = ShmNamedLockTable::create(seg.name, cfg, &error);
@@ -670,14 +657,15 @@ TEST(ShmIpcStat, PreviousLayoutSegmentIsRejectedCleanly) {
       << error;
   error.clear();
   EXPECT_EQ(ShmNamedLockTable::attach(seg.name, cfg, &error), nullptr);
+  seg.unlink();
   EXPECT_NE(error.find("config hash mismatch"), std::string::npos) << error;
 }
 
 TEST(ShmIpcStat, PeekConfigRejectsMissingSegment) {
   ShmTableConfig cfg;
   std::string error;
-  EXPECT_FALSE(ShmNamedLockTable::peek_config(unique_name("absent"), &cfg,
-                                              &error));
+  EXPECT_FALSE(ShmNamedLockTable::peek_config(
+      unique_segment_name("stat-absent"), &cfg, &error));
   EXPECT_FALSE(error.empty());
 }
 
@@ -689,10 +677,9 @@ TEST(ShmIpcStat, FootprintCoversTheConstructionReplay) {
       for (const std::uint32_t ring : {0u, 1u, 5u, 16u, 1000u, 1024u}) {
         const std::uint64_t footprint =
             obs::ShmMetrics::footprint_bytes(nprocs, stripes, ring);
-        ScopedSegment seg(unique_name("footprint"));
         std::string error;
-        auto arena =
-            ShmArena::create(seg.name, footprint + 4096, 0, &error);
+        auto arena = create_unlinked<ShmArena>("stat-footprint",
+                                               footprint + 4096, 0, &error);
         ASSERT_NE(arena, nullptr) << error;
         const std::uint64_t before = arena->cursor();
         obs::ShmMetrics shm(*arena, nprocs, stripes, ring);

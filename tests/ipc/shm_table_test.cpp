@@ -1,8 +1,8 @@
 // ShmNamedLockTable in-process coverage: create/attach sessions sharing the
 // same segment, timed acquisition, simulated owner death driven through the
 // full recovery protocol (journal dispatch, forced exit, registry reclaim,
-// obs accounting), and dead-session deadline cancellation on the local
-// TimerWheel. Genuine cross-address-space behavior (fork + SIGKILL) lives in
+// obs accounting), and the local TimerWheel left empty by timed attempts,
+// dead or alive. Genuine cross-address-space behavior (fork + SIGKILL) lives in
 // shm_fork_test.cpp.
 #include <gtest/gtest.h>
 
@@ -14,23 +14,17 @@
 #include <thread>
 #include <vector>
 
-#include <unistd.h>
-
 #include "aml/core/abortable_lock.hpp"
 #include "aml/ipc/shm_table.hpp"
+#include "shm_test_segment.hpp"
 
 namespace aml::ipc {
 namespace {
 
 using namespace std::chrono_literals;
+using namespace shm_test;
 
 constexpr std::uint64_t kForgedDeadPid = 0x7FFF'FFFF;
-
-std::string unique_name(const char* tag) {
-  static int counter = 0;
-  return std::string("/aml-test-tbl-") + tag + "-" +
-         std::to_string(::getpid()) + "-" + std::to_string(counter++);
-}
 
 ShmTableConfig small_config() {
   ShmTableConfig cfg;
@@ -40,16 +34,10 @@ ShmTableConfig small_config() {
   return cfg;
 }
 
-struct ScopedSegment {
-  explicit ScopedSegment(std::string n) : name(std::move(n)) {}
-  ~ScopedSegment() { ShmNamedLockTable::unlink(name); }
-  std::string name;
-};
-
 TEST(ShmIpcTable, CreateAcquireReleaseCountsInObs) {
-  ScopedSegment seg(unique_name("basic"));
   std::string error;
-  auto table = ShmNamedLockTable::create(seg.name, small_config(), &error);
+  auto table =
+      create_unlinked<ShmNamedLockTable>("tbl-basic", small_config(), &error);
   ASSERT_NE(table, nullptr) << error;
 
   auto session = table->open_session();
@@ -69,11 +57,12 @@ TEST(ShmIpcTable, CreateAcquireReleaseCountsInObs) {
 }
 
 TEST(ShmIpcTable, AttachedReplicaSharesTheLocks) {
-  ScopedSegment seg(unique_name("attach"));
+  ScopedSegment seg("tbl-attach");
   std::string error;
   auto creator = ShmNamedLockTable::create(seg.name, small_config(), &error);
   ASSERT_NE(creator, nullptr) << error;
   auto replica = ShmNamedLockTable::attach(seg.name, small_config(), &error);
+  seg.unlink();
   ASSERT_NE(replica, nullptr) << error;
 
   auto a = creator->open_session();
@@ -96,7 +85,7 @@ TEST(ShmIpcTable, AttachedReplicaSharesTheLocks) {
 }
 
 TEST(ShmIpcTable, AttachRejectsDifferentConfig) {
-  ScopedSegment seg(unique_name("cfgmismatch"));
+  ScopedSegment seg("tbl-cfgmismatch");
   std::string error;
   auto creator = ShmNamedLockTable::create(seg.name, small_config(), &error);
   ASSERT_NE(creator, nullptr) << error;
@@ -104,14 +93,15 @@ TEST(ShmIpcTable, AttachRejectsDifferentConfig) {
   ShmTableConfig other = small_config();
   other.stripes = 4;
   auto replica = ShmNamedLockTable::attach(seg.name, other, &error);
+  seg.unlink();
   EXPECT_EQ(replica, nullptr);
   EXPECT_NE(error.find("config hash"), std::string::npos) << error;
 }
 
 TEST(ShmIpcTable, AbortableAcquireHonorsSignal) {
-  ScopedSegment seg(unique_name("abort"));
   std::string error;
-  auto table = ShmNamedLockTable::create(seg.name, small_config(), &error);
+  auto table =
+      create_unlinked<ShmNamedLockTable>("tbl-abort", small_config(), &error);
   ASSERT_NE(table, nullptr) << error;
 
   auto a = table->open_session();
@@ -134,9 +124,9 @@ TEST(ShmIpcTable, AbortableAcquireHonorsSignal) {
 /// recover_dead() sweep must force the victim's exit, free its registry
 /// slot, and leave the stripe acquirable — in one bounded sweep.
 TEST(ShmIpcTable, RecoverDeadHolderForcesExitAndReclaimsSlot) {
-  ScopedSegment seg(unique_name("recover"));
   std::string error;
-  auto table = ShmNamedLockTable::create(seg.name, small_config(), &error);
+  auto table =
+      create_unlinked<ShmNamedLockTable>("tbl-recover", small_config(), &error);
   ASSERT_NE(table, nullptr) << error;
 
   auto victim = table->open_session();
@@ -184,12 +174,42 @@ TEST(ShmIpcTable, RecoverDeadHolderForcesExitAndReclaimsSlot) {
   EXPECT_EQ(table->recovery_stats().recovered_pids, 1u);
 }
 
+/// The same death, 200 times over fresh victims on one stripe: every death
+/// lands in a journaled window (kHolding), so each sweep forces exactly one
+/// exit and none falls back to retiring the pid as a zombie, and the
+/// survivor gets the key back every round.
+TEST(ShmIpcTable, RepeatedHolderDeathsAreAllForcedExits) {
+  std::string error;
+  ShmTableConfig cfg = small_config();
+  cfg.stripes = 1;
+  auto table = create_unlinked<ShmNamedLockTable>("tbl-rounds", cfg, &error);
+  ASSERT_NE(table, nullptr) << error;
+
+  constexpr std::uint64_t kRounds = 200;
+  const std::uint64_t key = 7;
+  auto survivor = table->open_session();
+  ASSERT_TRUE(survivor.has_value());
+  for (std::uint64_t round = 0; round < kRounds; ++round) {
+    auto victim = table->open_session();
+    ASSERT_TRUE(victim.has_value()) << "round " << round;
+    ASSERT_TRUE(table->stripe(0).enter(victim->id(), nullptr).acquired);
+    table->registry().debug_set_os_pid(victim->id(), kForgedDeadPid);
+    ASSERT_EQ(survivor->recover_dead(), 1u) << "round " << round;
+    ASSERT_TRUE(survivor->try_acquire_for(key, 2s).has_value())
+        << "round " << round;
+  }
+  const RecoveryStats& stats = table->recovery_stats();
+  EXPECT_EQ(stats.forced_exits, kRounds);
+  EXPECT_EQ(stats.recovered_pids, kRounds);
+  EXPECT_EQ(stats.zombie_pids, 0u);
+}
+
 /// A victim dead *between* passages (journal kIdle) costs nothing to
 /// recover: no stripe repair, just the registry reclaim.
 TEST(ShmIpcTable, RecoverIdleVictimReclaimsWithoutRepairs) {
-  ScopedSegment seg(unique_name("idle"));
   std::string error;
-  auto table = ShmNamedLockTable::create(seg.name, small_config(), &error);
+  auto table =
+      create_unlinked<ShmNamedLockTable>("tbl-idle", small_config(), &error);
   ASSERT_NE(table, nullptr) << error;
 
   auto victim = table->open_session();
@@ -224,9 +244,9 @@ std::uint64_t ring_count(const ShmNamedLockTable& table,
 /// compensated (refcnt untouched) and the landed one is completed (one
 /// Cleanup undoes it), both in the same sweep.
 TEST(ShmIpcTable, ForgedPrejoinDeathsDecideByJournal) {
-  ScopedSegment seg(unique_name("fa-prejoin"));
   std::string error;
-  auto table = ShmNamedLockTable::create(seg.name, small_config(), &error);
+  auto table = create_unlinked<ShmNamedLockTable>("tbl-fa-prejoin",
+                                                  small_config(), &error);
   ASSERT_NE(table, nullptr) << error;
 
   auto survivor = table->open_session();
@@ -276,9 +296,9 @@ TEST(ShmIpcTable, ForgedPrejoinDeathsDecideByJournal) {
 /// announcement, the second completes forward from the journaled pre-image —
 /// no double decrement, no zombie.
 TEST(ShmIpcTable, ForgedCleanupDeathsCompleteOrCompensate) {
-  ScopedSegment seg(unique_name("fa-cleanup"));
   std::string error;
-  auto table = ShmNamedLockTable::create(seg.name, small_config(), &error);
+  auto table = create_unlinked<ShmNamedLockTable>("tbl-fa-cleanup",
+                                                  small_config(), &error);
   ASSERT_NE(table, nullptr) << error;
 
   auto survivor = table->open_session();
@@ -323,9 +343,9 @@ TEST(ShmIpcTable, ForgedCleanupDeathsCompleteOrCompensate) {
 /// recoverer must redo the identical switch under the *same* sequence number
 /// (the journaled pre-image still matches), installing the next one-shot.
 TEST(ShmIpcTable, ForgedSwitchAnnouncedDeathRedoesTheSwitch) {
-  ScopedSegment seg(unique_name("fa-switch"));
   std::string error;
-  auto table = ShmNamedLockTable::create(seg.name, small_config(), &error);
+  auto table = create_unlinked<ShmNamedLockTable>("tbl-fa-switch",
+                                                  small_config(), &error);
   ASSERT_NE(table, nullptr) << error;
 
   auto survivor = table->open_session();
@@ -377,10 +397,9 @@ void solo_passages(ShmNamedLockTable::Session& session, std::uint64_t key,
 }
 
 TEST(ShmIpcTable, SpinNodeRecyclesReachTheSegmentCounters) {
-  ScopedSegment seg(unique_name("recycle"));
   std::string error;
   const ShmTableConfig cfg = small_config();
-  auto table = ShmNamedLockTable::create(seg.name, cfg, &error);
+  auto table = create_unlinked<ShmNamedLockTable>("tbl-recycle", cfg, &error);
   ASSERT_NE(table, nullptr) << error;
   auto session = table->open_session();
   ASSERT_TRUE(session.has_value());
@@ -397,10 +416,9 @@ TEST(ShmIpcTable, SpinNodeRecyclesReachTheSegmentCounters) {
 /// its free mark, must not lose those nodes: N+1 per pid still guarantees
 /// every later switch a node.
 TEST(ShmIpcTable, TornSpinNodeReclaimIsFinishedNotLeaked) {
-  ScopedSegment seg(unique_name("torn"));
   std::string error;
   const ShmTableConfig cfg = small_config();
-  auto table = ShmNamedLockTable::create(seg.name, cfg, &error);
+  auto table = create_unlinked<ShmNamedLockTable>("tbl-torn", cfg, &error);
   ASSERT_NE(table, nullptr) << error;
   auto session = table->open_session();
   ASSERT_TRUE(session.has_value());
@@ -414,50 +432,47 @@ TEST(ShmIpcTable, TornSpinNodeReclaimIsFinishedNotLeaked) {
   EXPECT_EQ(table->shm_metrics().totals().instance_switches, 3u * per_pool);
 }
 
-// --- satellite: dead-session deadline cancellation ------------------------
+// --- a dead session leaves no deadline behind ---------------------------
 
-TEST(ShmIpcTable, RecoveryCancelsDeadSessionsArmedDeadlines) {
-  ScopedSegment seg(unique_name("wheel"));
+// A victim times out behind a holder and then dies (forged). Its attempt
+// cancelled its own deadline on the way out, so recovery finds none armed,
+// and the pid's next session starts from a lowered signal even though the
+// wheel raised the victim's.
+TEST(ShmIpcTable, RecoveryAfterTimedOutVictimFindsNoDeadline) {
   std::string error;
-  auto table = ShmNamedLockTable::create(seg.name, small_config(), &error);
+  auto table =
+      create_unlinked<ShmNamedLockTable>("tbl-wheel", small_config(), &error);
   ASSERT_NE(table, nullptr) << error;
 
+  auto holder = table->open_session();
   auto victim = table->open_session();
   auto survivor = table->open_session();
-  ASSERT_TRUE(victim && survivor);
+  ASSERT_TRUE(holder && victim && survivor);
 
-  // Arm a far-future deadline for the victim (as a timed acquisition would)
-  // so it is pending on this process's wheel. A pid holds at most one: a
-  // session runs one timed attempt at a time.
-  table->debug_arm(victim->id(), ShmNamedLockTable::Clock::now() + 1h);
-  ASSERT_EQ(table->pending_deadlines(), 1u);
-
+  const std::uint64_t key = 3;
+  {
+    auto held = holder->acquire(key);
+    EXPECT_FALSE(victim->try_acquire_for(key, 2ms).has_value());
+  }
   table->registry().debug_set_os_pid(victim->id(), kForgedDeadPid);
   EXPECT_EQ(survivor->recover_dead(), 1u);
-
-  // Recovery disarmed the victim's timer: it can no longer fire into the
-  // pid's next leaseholder.
   EXPECT_EQ(table->pending_deadlines(), 0u);
-  EXPECT_EQ(table->recovery_stats().cancelled_deadlines, 1u);
 
-  // The reclaimed pid's next session starts with a clean signal: a timed
-  // acquisition against an uncontended key succeeds immediately.
   auto successor = table->open_session();
   ASSERT_TRUE(successor.has_value());
   EXPECT_EQ(successor->id(), victim->id());
-  EXPECT_TRUE(successor->try_acquire_for(std::uint64_t{3}, 2s).has_value());
+  EXPECT_TRUE(successor->try_acquire_for(key, 2s).has_value());
 }
 
 // Deadline-bounded attempts from several threads, each on its own session,
-// with budgets short enough that many fire mid-attempt: every attempt takes
-// its own token back out of its pid's deadline slot, so none stays armed and
-// no stripe is left held.
+// with budgets short enough that many fire mid-attempt: every attempt
+// cancels its own deadline, so none stays armed and no stripe is left held.
 TEST(ShmIpcTableStress, TimedAttemptsLeaveNoArmedDeadline) {
-  ScopedSegment seg(unique_name("timedstress"));
   std::string error;
   ShmTableConfig cfg = small_config();
   cfg.stripes = 4;
-  auto table = ShmNamedLockTable::create(seg.name, cfg, &error);
+  auto table =
+      create_unlinked<ShmNamedLockTable>("tbl-timedstress", cfg, &error);
   ASSERT_NE(table, nullptr) << error;
 
   constexpr int kThreads = 3;

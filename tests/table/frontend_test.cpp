@@ -63,9 +63,8 @@ class FrontendNative : public ::testing::Test {
 using Placements = ::testing::Types<HeapPlacement, ShmPlacement>;
 TYPED_TEST_SUITE(FrontendNative, Placements);
 
-// A timed attempt takes its own token back out of the pid's deadline slot,
-// whether it times out behind a holder or is granted: no deadline stays
-// armed on the wheel either way.
+// A timed attempt cancels its own deadline, whether it times out behind a
+// holder or is granted: no deadline stays armed on the wheel either way.
 TYPED_TEST(FrontendNative, TimedAttemptsLeaveNoArmedDeadline) {
   auto& table = *this->placement.table;
   auto holder = this->placement.open();
@@ -79,6 +78,22 @@ TYPED_TEST(FrontendNative, TimedAttemptsLeaveNoArmedDeadline) {
   }
   auto granted = waiter.try_acquire_for(key, 2s);
   ASSERT_TRUE(granted.has_value());
+  EXPECT_EQ(table.pending_deadlines(), 0u);
+}
+
+// A zero or negative budget still arms the wheel, with a deadline already
+// due; the wheel thread raises the signal, so against a held key the attempt
+// comes back empty, and it leaves no deadline armed.
+TYPED_TEST(FrontendNative, ZeroAndNegativeBudgetsFailOnAHeldKey) {
+  auto& table = *this->placement.table;
+  auto holder = this->placement.open();
+  auto waiter = this->placement.open();
+  const std::uint64_t key = 13;
+
+  auto held = holder.acquire(key);
+  EXPECT_FALSE(waiter.try_acquire_for(key, 0ms).has_value());
+  EXPECT_EQ(table.pending_deadlines(), 0u);
+  EXPECT_FALSE(waiter.try_acquire_for(key, -5ms).has_value());
   EXPECT_EQ(table.pending_deadlines(), 0u);
 }
 
@@ -126,19 +141,6 @@ TYPED_TEST(FrontendNative, MovedGuardReleasesExactlyOnce) {
   }
   EXPECT_TRUE(owner.try_acquire_for(key, 2s).has_value());
 }
-
-#if GTEST_HAS_DEATH_TEST
-TEST(FrontendDeathTest, DebugArmRejectsPidPastNprocs) {
-  // Built inside the child: the table's timer wheel never runs in the
-  // forking parent.
-  EXPECT_DEATH(
-      {
-        NamedLockTable table({.max_threads = 2, .stripes = 2});
-        (void)table.debug_arm(2, NamedLockTable::Clock::now() + 1h);
-      },
-      "debug_arm: pid out of range");
-}
-#endif
 
 }  // namespace
 }  // namespace aml::table
