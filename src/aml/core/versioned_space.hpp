@@ -27,11 +27,12 @@
 // The space exposes the same read/write/faa/wait vocabulary as a memory
 // model, so Tree and OneShotLock instantiate over it unchanged.
 //
-// Placement: on a space with alloc_line (the heap NativeModel) a record's
-// V_w, w_0 and w_1 share one cache line of their own, so the lazy reset
-// moves one line per first access, not three. Every other space gets three
-// separate alloc(1) words in the order V_w, w_0, w_1; the counting models
-// still price each as its own word, and ShmSpace's arena layout is unchanged.
+// Placement: on a space with alloc_line (the heap NativeModel, and
+// ipc::ShmSpace since shm layout 7) a record's V_w, w_0 and w_1 share one
+// cache line of their own, so the lazy reset moves one line per first
+// access, not three. The counting models have no alloc_line: they get three
+// separate alloc(1) words in the order V_w, w_0, w_1 and price each as its
+// own word.
 #pragma once
 
 #include <array>
@@ -53,7 +54,7 @@ using model::Pid;
 namespace detail {
 
 /// A space that can put one record's three backing words on one cache line
-/// (model::BasicNativeModel::alloc_line).
+/// (model::BasicNativeModel::alloc_line, ipc::ShmSpace::alloc_line).
 template <typename M>
 concept LinePacking = requires(M& m) {
   { m.alloc_line({std::uint64_t{0}, std::uint64_t{0}, std::uint64_t{0}}) };
@@ -110,8 +111,8 @@ class VersionedSpace {
         rec.inc[0] = line + 1;
         rec.inc[1] = line + 2;
       } else {
-        // Three words, in this order: the counting models' word ids and
-        // ShmSpace's arena offsets depend on it.
+        // Three words, in this order: the counting models' word ids depend
+        // on it.
         rec.vw = mem_.alloc(1, 0);  // version 0, incarnation 0
         rec.inc[0] = mem_.alloc(1, init);
         rec.inc[1] = mem_.alloc(1, init);

@@ -76,10 +76,11 @@ struct ShmTableConfig {
 };
 
 /// Bump when the construction replay sequence changes shape (new objects,
-/// reordered allocations): it is mixed into the config hash, so a binary
+/// reordered or resized allocations; layout 7: one arena line per
+/// VersionedSpace record): it is mixed into the config hash, so a binary
 /// laying out the old sequence is rejected at attach instead of replaying a
 /// different construction into live state.
-inline constexpr std::uint64_t kShmLayoutVersion = 6;
+inline constexpr std::uint64_t kShmLayoutVersion = 7;
 
 /// Everything the layout depends on, mixed into the superblock hash so a
 /// mis-configured attacher is rejected instead of replaying a different
@@ -494,14 +495,17 @@ class ShmNamedLockTable : public table::Frontend<ShmNamedLockTable> {
   static std::uint64_t segment_bytes(const ShmTableConfig& cfg) {
     if (cfg.segment_bytes != 0) return cfg.segment_bytes;
     const std::uint64_t n = cfg.nprocs;
-    // Per instance: a VersionedSpace (3 backing words per logical word,
-    // ~(4N + tree) logical words) plus slack; per stripe: N+1 instances,
-    // the spin pool (N*(N+1) go + N announce), passage slots, desc words.
-    const std::uint64_t inst_words = 3 * (8 * n + 64) + 8;
-    const std::uint64_t stripe_words =
-        (n + 1) * inst_words + n * (n + 1) + 4 * n + 16;
-    const std::uint64_t words = cfg.stripes * stripe_words + 8 * n + 64;
-    return (words * sizeof(ShmSpace::Word)) * 2 +
+    // Counted in cache lines (a padded word and a VersionedSpace record
+    // take one each). Per instance: a VersionedSpace (one line per record,
+    // ~(4N + tree) records) plus slack; per stripe: N+1 instances, the spin
+    // pool (N*(N+1) go + N announce), passage slots, desc words. Doubled:
+    // ShmIpcTable.SegmentBoundCoversTheConstructionReplay checks it covers.
+    static_assert(sizeof(ShmSpace::Word) == sizeof(ShmSpace::Line));
+    const std::uint64_t inst_lines = (8 * n + 64) + 8;
+    const std::uint64_t stripe_lines =
+        (n + 1) * inst_lines + n * (n + 1) + 4 * n + 16;
+    const std::uint64_t lines = cfg.stripes * stripe_lines + 8 * n + 64;
+    return (lines * sizeof(ShmSpace::Line)) * 2 +
            obs::ShmMetrics::footprint_bytes(cfg.nprocs, cfg.stripes,
                                             cfg.ring_capacity) +
            sizeof(ServiceHeader) + (1u << 20);

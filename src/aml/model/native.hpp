@@ -20,12 +20,13 @@
 //
 // NativeOps<Relaxed> is the word and its operations; it allocates nothing.
 // The operations take a Cell (the bare atomic); a Word is a Cell padded to
-// its own cache line, and is what every alloc() hands out. BasicNativeModel
-// adds heap allocation, including alloc_line(), which packs the three cells
-// of one VersionedSpace record onto one line so a first access in a fresh
-// incarnation moves one line instead of three. ipc::ShmSpace adds allocation
-// out of a shared-memory arena (padded words only; its layout is versioned),
-// so both word spaces run the same operations.
+// its own cache line, and is what every alloc() hands out; a Line is
+// kLineCells cells sharing one cache line, and is what every alloc_line()
+// hands out, so that a VersionedSpace record's three cells move as one line
+// on a first access in a fresh incarnation. BasicNativeModel allocates
+// words and lines on the heap; ipc::ShmSpace allocates them out of a
+// shared-memory arena (lines since shm layout 7), so both word spaces run
+// the same operations over the same layouts.
 //
 // This model performs no accounting; instantiating the lock templates with
 // it yields the deployable library (aml::AbortableLock).
@@ -54,7 +55,7 @@ class NativeOps {
  public:
   /// One atomic word, unpadded: the operand every operation below takes.
   /// Cells exist on their own only where a space deliberately puts several
-  /// on one line (BasicNativeModel::alloc_line).
+  /// on one line (alloc_line).
   // AML_SHM_REGION_BEGIN
   struct Cell {
     std::atomic<std::uint64_t> v{0};
@@ -65,6 +66,15 @@ class NativeOps {
   /// model assumes — across processes too, when the word lives in a shm
   /// arena. A Word& binds to every Cell& parameter.
   struct alignas(pal::kCacheLine) Word : Cell {};
+
+  /// Cells that alloc_line() puts on one line: a VersionedSpace record's
+  /// V_w, w_0 and w_1, which are always touched together.
+  static constexpr std::size_t kLineCells = 3;
+
+  /// kLineCells cells on one cache line of their own.
+  struct alignas(pal::kCacheLine) Line {
+    Cell cells[kLineCells];
+  };
   // AML_SHM_REGION_END
 
   explicit NativeOps(Pid nprocs) : nprocs_(nprocs) {}
@@ -203,10 +213,8 @@ class BasicNativeModel : public NativeOps<Relaxed> {
  public:
   using Cell = typename NativeOps<Relaxed>::Cell;
   using Word = typename NativeOps<Relaxed>::Word;
-
-  /// Cells that alloc_line() puts on one line: a VersionedSpace record's
-  /// V_w, w_0 and w_1, which are always touched together.
-  static constexpr std::size_t kLineCells = 3;
+  using Line = typename NativeOps<Relaxed>::Line;
+  using NativeOps<Relaxed>::kLineCells;
 
   explicit BasicNativeModel(Pid nprocs = 1) : NativeOps<Relaxed>(nprocs) {}
 
@@ -254,10 +262,6 @@ class BasicNativeModel : public NativeOps<Relaxed> {
   }
 
  private:
-  struct alignas(pal::kCacheLine) Line {
-    Cell cells[kLineCells];
-  };
-
   mutable std::mutex alloc_mu_;
   std::deque<std::vector<Word>> blocks_;  // one block per alloc; stable
   std::deque<Line> lines_;                // one line per alloc_line; stable

@@ -99,8 +99,9 @@ class ShmMetrics {
       : stripes_(stripes),
         ring_capacity_(ring_capacity),
         self_os_pid_(static_cast<std::uint64_t>(::getpid())) {
-    // The segment's allocation order (layout version 6); footprint_bytes()
-    // mirrors it.
+    // The segment's allocation order (unchanged since layout version 6;
+    // layout 7 gave each VersionedSpace record one arena line);
+    // footprint_bytes() mirrors it.
     const std::uint32_t per_pid =
         obs::ring_slots_per_pid(nprocs, ring_capacity);
     auto* counters = arena.alloc_array<CounterCell>(nprocs);

@@ -633,15 +633,16 @@ TEST(ShmIpcStat, PeekConfigDiscoversCreatorLayout) {
 
 // Every layout bump changes the construction replay or the meaning of a
 // shm word (layout 6: the counter cell's last_ns, the registry slot without
-// its heartbeat words): a segment laid out by the previous layout's binary
-// must be refused, never replayed.
+// its heartbeat words; layout 7: one arena line per VersionedSpace record):
+// a segment laid out by the previous layout's binary must be refused, never
+// replayed.
 TEST(ShmIpcStat, PreviousLayoutSegmentIsRejectedCleanly) {
   ScopedSegment seg("stat-prevlayout");
   const ShmTableConfig cfg = small_config();
   std::string error;
   auto table = ShmNamedLockTable::create(seg.name, cfg, &error);
   ASSERT_NE(table, nullptr) << error;
-  ASSERT_EQ(kShmLayoutVersion, 6u);
+  ASSERT_EQ(kShmLayoutVersion, 7u);
   // Forge what a previous-layout creator leaves: its version in the header,
   // and a config hash other than ours (the layout version is mixed into it).
   ShmArena& arena = table->arena();
@@ -652,7 +653,7 @@ TEST(ShmIpcStat, PreviousLayoutSegmentIsRejectedCleanly) {
 
   ShmTableConfig peeked;
   EXPECT_FALSE(ShmNamedLockTable::peek_config(seg.name, &peeked, &error));
-  EXPECT_NE(error.find("layout version mismatch (have 5, want 6)"),
+  EXPECT_NE(error.find("layout version mismatch (have 6, want 7)"),
             std::string::npos)
       << error;
   error.clear();

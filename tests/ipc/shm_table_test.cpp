@@ -98,6 +98,28 @@ TEST(ShmIpcTable, AttachRejectsDifferentConfig) {
   EXPECT_NE(error.find("config hash"), std::string::npos) << error;
 }
 
+/// The closed-form segment size (ShmNamedLockTable::segment_bytes) covers
+/// what construction allocates, from one process to 32, one stripe to 16,
+/// and the tallest tree to the flattest.
+TEST(ShmIpcTable, SegmentBoundCoversTheConstructionReplay) {
+  for (const Pid nprocs : {Pid{1}, Pid{4}, Pid{8}, Pid{32}}) {
+    for (const std::uint32_t stripes : {1u, 16u}) {
+      for (const std::uint32_t w : {2u, 8u, 64u}) {
+        ShmTableConfig cfg;
+        cfg.nprocs = nprocs;
+        cfg.stripes = stripes;
+        cfg.tree_width = w;
+        std::string error;
+        auto table =
+            create_unlinked<ShmNamedLockTable>("tbl-bound", cfg, &error);
+        ASSERT_NE(table, nullptr) << error;
+        EXPECT_LE(table->arena().cursor(), table->arena().bytes())
+            << "nprocs " << nprocs << " stripes " << stripes << " W " << w;
+      }
+    }
+  }
+}
+
 TEST(ShmIpcTable, AbortableAcquireHonorsSignal) {
   std::string error;
   auto table =

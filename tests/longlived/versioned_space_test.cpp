@@ -6,12 +6,15 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <string>
+#include <type_traits>
 
 #include <unistd.h>
 
 #include "aml/core/eager_space.hpp"
 #include "aml/core/longlived.hpp"
+#include "aml/core/oneshot.hpp"
 #include "aml/ipc/shm_arena.hpp"
 #include "aml/ipc/shm_space.hpp"
 #include "aml/model/counting_cc.hpp"
@@ -162,53 +165,74 @@ TEST(VersionedSpace, LargeHandleBlocksAreContiguous) {
   ASSERT_EQ(space.read(0, words[299]), 299u);
 }
 
-// Placement of the backing words. On the heap NativeModel a record's V_w,
-// w_0 and w_1 share one cache line that no other record touches; the word
-// count is what it was with three padded words. ShmSpace keeps one padded
-// word per backing word, so its arena layout (kShmLayoutVersion) is
-// unchanged. The counts are those of a 3-process, W=8 LongLivedLock.
-TEST(VersionedSpace, NativeRecordsShareOneLineShmWordsStayPadded) {
+// Placement of the backing words. On the heap NativeModel and, since shm
+// layout 7, in a ShmSpace arena, a record's V_w, w_0 and w_1 share one cache
+// line that no other record touches; the word count is what it was with
+// three padded words. The lock counts are those of a 3-process, W=8
+// LongLivedLock.
+TEST(VersionedSpace, RecordsShareOneLineOnHeapAndInTheArena) {
   constexpr std::size_t kLockWords = 104;
+  constexpr model::Pid kProcs = 3;
+  constexpr std::uint32_t kW = 8;
   const auto line_of = [](const void* p) {
     return reinterpret_cast<std::uintptr_t>(p) / pal::kCacheLine;
   };
-  {
-    model::NativeModel m(2);
-    VersionedSpace<model::NativeModel> space(m, 2, 8);
-    const std::size_t before = m.words_allocated();
+  // Seven records over `mem`, each on a line of its own.
+  const auto check_records = [&](auto& mem) {
+    VersionedSpace<std::remove_reference_t<decltype(mem)>> space(mem, 2, kW);
+    const std::size_t before = mem.words_allocated();
     space.alloc(5, 7);
     space.alloc(1, 9);
-    EXPECT_EQ(m.words_allocated() - before, 6u * 3u);
-    std::uintptr_t prev_line = 0;
+    space.begin_session(0);
+    EXPECT_EQ(space.read(0, space.alloc(1, 11)[0]), 11u);
+    EXPECT_EQ(mem.words_allocated() - before, 7u * 3u);
+    std::set<std::uintptr_t> lines;
     for (std::size_t idx = 0; idx < space.logical_words(); ++idx) {
       const auto words = space.backing(idx);
       EXPECT_EQ(line_of(words[0]), line_of(words[1])) << "record " << idx;
       EXPECT_EQ(line_of(words[0]), line_of(words[2])) << "record " << idx;
-      EXPECT_NE(line_of(words[0]), prev_line) << "record " << idx;
-      prev_line = line_of(words[0]);
+      EXPECT_TRUE(lines.insert(line_of(words[0])).second) << "record " << idx;
     }
-    space.begin_session(0);
-    EXPECT_EQ(space.read(0, space.alloc(1, 11)[0]), 11u);
-
-    model::NativeModel lock_mem(3);
-    core::LongLivedLock<model::NativeModel> lock(lock_mem,
-                                                 {.nprocs = 3, .w = 8});
+  };
+  // Records per one-shot instance of the lock: the instance's logical words.
+  CountingCcModel counting(kProcs);
+  VersionedSpace<CountingCcModel> instance_space(counting, kProcs, kW);
+  OneShotLock<VersionedSpace<CountingCcModel>> instance(instance_space,
+                                                        kProcs, kW);
+  const std::size_t lock_records =
+      (kProcs + 1) * instance_space.logical_words();
+  {
+    model::NativeModel m(2);
+    check_records(m);
+    model::NativeModel lock_mem(kProcs);
+    LongLivedLock<model::NativeModel> lock(lock_mem,
+                                           {.nprocs = kProcs, .w = kW});
     EXPECT_EQ(lock_mem.words_allocated(), kLockWords);
   }
   {
-    static_assert(sizeof(ipc::ShmSpace::Word) == 64);
+    static_assert(sizeof(ipc::ShmSpace::Word) == pal::kCacheLine);
+    static_assert(sizeof(ipc::ShmSpace::Line) == pal::kCacheLine);
     const std::string name =
         "/aml-test-vspace-layout-" + std::to_string(::getpid());
     std::string error;
     auto arena = ipc::ShmArena::create(name, 1 << 20, 0, &error);
     ipc::ShmArena::unlink(name);  // the mapping outlives the name
     ASSERT_NE(arena, nullptr) << error;
-    ipc::ShmSpace shm(*arena, 3);
-    const std::uint64_t before = arena->cursor();
-    core::LongLivedLock<ipc::ShmSpace> lock(shm, {.nprocs = 3, .w = 8});
-    EXPECT_EQ(shm.words_allocated(), kLockWords);
-    // One padded word per model word, plus one line of spin-pool marks.
-    EXPECT_EQ(arena->cursor() - before, (kLockWords + 1) * 64);
+    ipc::ShmSpace shm(*arena, kProcs);
+    std::uint64_t before = arena->cursor();
+    check_records(shm);
+    // The space's version word, then one line per record.
+    EXPECT_EQ(arena->cursor() - before, (1 + 7) * pal::kCacheLine);
+
+    before = arena->cursor();
+    const std::size_t words_before = shm.words_allocated();
+    LongLivedLock<ipc::ShmSpace> lock(shm, {.nprocs = kProcs, .w = kW});
+    EXPECT_EQ(shm.words_allocated() - words_before, kLockWords);
+    // A padded line per word outside the records, one line per record (3
+    // words), plus one line of spin-pool marks.
+    const std::size_t lines = (kLockWords - 3 * lock_records) +
+                              lock_records + 1;
+    EXPECT_EQ(arena->cursor() - before, lines * pal::kCacheLine);
   }
 }
 

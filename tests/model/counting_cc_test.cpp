@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 
 namespace aml::model {
@@ -104,13 +105,24 @@ TEST(CountingCc, WaitStopsOnSignal) {
 TEST(CountingCc, WaitWakesOnWriteFreeRunning) {
   CountingCcModel m(2);
   auto* w = m.alloc(1, 0);
+  // The writer starts only after the waiter's first (charged) read, so the
+  // waiter cannot read 2 at once and leave with a single RMR.
+  std::atomic<bool> first_read{false};
   std::thread waiter([&] {
     auto out = m.wait(
-        0, *w, [](std::uint64_t v) { return v == 2; }, nullptr);
+        0, *w,
+        [&](std::uint64_t v) {
+          first_read.store(true, std::memory_order_release);
+          return v == 2;
+        },
+        nullptr);
     EXPECT_FALSE(out.stopped);
     EXPECT_EQ(out.value, 2u);
   });
   std::thread writer([&] {
+    while (!first_read.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
     m.write(1, *w, 1);
     m.write(1, *w, 2);
   });
