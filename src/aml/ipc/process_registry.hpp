@@ -34,26 +34,22 @@
 //       |                                                         |
 //       +--- finish_recovery / release / repossess ---------------+
 //                       (or kZombie: the victim died in the one
-//                        journal-blind doorway window; retired, and
-//                        reclaimed back to kFree by try_reclaim_zombie
-//                        once a full-quiescence epoch has passed)
+//                        journal-blind doorway window and is retired;
+//                        kZombie is terminal — no transition leaves it)
 //
 // Both exits from kLive pass through the exclusive kRecovering claim, so
 // os_pid is always cleared *before* the slot becomes leasable again — a
 // racing try_lease can never publish a pid that a stale store then erases.
 //
-// Quiescence epochs: a global epoch counter is bumped each time a pid is
-// retired as a zombie, and the retirement epoch is recorded in the slot.
-// Every live session journals the current epoch into its slot whenever it
-// reaches a no-footprint point (note_idle: guard fully released, no passage
-// in flight). A zombie may be reclaimed once every live slot's idle mark
-// has reached its retirement epoch — proof that every process has passed
-// through idle since the retirement, so no live passage can carry a stale
-// reference to anything the victim touched. (The table layer adds a
-// journal-phase gate on top; see ShmNamedLockTable::recover_dead.)
+// Zombies stay parked: a retired pid is never leased again. Its frozen
+// journal still shows the doorway (nothing rewrites a phase once the lease
+// word has left kLive), so re-leasing it would revive a ghost one-shot slot
+// in an instance that may still be current. The segment loses one pid per
+// zombie for the rest of its life; ShmNamedLockTable::recovery_stats()
+// counts them.
 //
-// Zero-filled shm pages decode as "all slots kFree, epoch 0", so the
-// registry needs no creator-side initialization at all.
+// Zero-filled shm pages decode as "all slots kFree", so the registry needs
+// no creator-side initialization at all.
 #pragma once
 
 #include <atomic>
@@ -108,8 +104,8 @@ inline std::uint64_t process_start_ticks(std::uint64_t os_pid) {
 }
 
 // AML_SHM_REGION_BEGIN
-/// One registry slot. Padded so one holder's idle-epoch stores never
-/// false-share with another slot's lease CASes.
+/// One registry slot. Padded so one slot's lease CASes never false-share
+/// with another's.
 struct alignas(pal::kCacheLine) ProcessSlot {
   /// (nonce << 2) | state. Zero == (nonce 0, kFree).
   std::atomic<std::uint64_t> lease;
@@ -120,22 +116,9 @@ struct alignas(pal::kCacheLine) ProcessSlot {
   /// strictly *before* os_pid so any visible pid already has its start
   /// beside it. 0 = unknown (portable fallback; treated as "no evidence").
   std::atomic<std::uint64_t> os_start;
-  /// Global epoch observed at this holder's last no-footprint point
-  /// (note_idle); consulted by try_reclaim_zombie's quiescence scan.
-  std::atomic<std::uint64_t> idle_epoch;
-  /// Epoch at which this pid was retired as a zombie (set under the
-  /// exclusive kRecovering claim, before the slot turns kZombie).
-  std::atomic<std::uint64_t> retired_epoch;
-};
-
-/// The global quiescence-epoch counter, padded into its own line (bumped
-/// only on zombie retirement — rare — but read by every note_idle).
-struct alignas(pal::kCacheLine) EpochCell {
-  std::atomic<std::uint64_t> value;
 };
 // AML_SHM_REGION_END
 AML_SHM_PLACEABLE(ProcessSlot);
-AML_SHM_PLACEABLE(EpochCell);
 
 class ProcessRegistry {
  public:
@@ -151,9 +134,7 @@ class ProcessRegistry {
   /// Both roles replay the same allocation; zero pages are the valid initial
   /// state, so neither role stores anything.
   ProcessRegistry(ShmArena& arena, model::Pid nprocs)
-      : base_(arena.base()),
-        nprocs_(nprocs),
-        epoch_(arena.alloc_array<EpochCell>(1)),
+      : nprocs_(nprocs),
         slots_(arena.alloc_array<ProcessSlot>(nprocs)) {}
 
   ProcessRegistry(const ProcessRegistry&) = delete;
@@ -164,9 +145,10 @@ class ProcessRegistry {
   /// Lease the lowest free pid; returns nprocs() when full. Publishes the
   /// caller's identity after winning the CAS — start time first, then pid
   /// (os_pid == 0 is the benign "still initializing" window — dead()
-  /// treats it as alive), plus a fresh idle-epoch mark. On success `*token`
-  /// (if given) receives the lease word this holder installed; it is the
-  /// capability release() — and, after a crash, try_reattach() — needs.
+  /// treats it as alive). On success `*token` (if given) receives the
+  /// lease word this holder installed; it is the capability release() —
+  /// and, after a crash, try_reattach() — needs. Never returns a kZombie
+  /// pid.
   model::Pid try_lease(std::uint64_t* token = nullptr) {
     for (model::Pid id = 0; id < nprocs_; ++id) {
       std::uint64_t cur = slots_[id].lease.load(std::memory_order_acquire);  // AML_X_EDGE(ipc.lease_word)
@@ -175,7 +157,6 @@ class ProcessRegistry {
       if (slots_[id].lease.compare_exchange_strong(
               cur, next, std::memory_order_acq_rel,  // AML_X_EDGE(ipc.lease_word) AML_V_EDGE(ipc.lease_word)
               std::memory_order_relaxed)) {
-        slots_[id].idle_epoch.store(epoch(), std::memory_order_release);  // AML_V_EDGE(ipc.quiesce_epoch)
         publish_identity(id);
         if (token != nullptr) *token = next;
         return id;
@@ -230,53 +211,6 @@ class ProcessRegistry {
   /// Published kernel start time of the holder (0 = unknown).
   std::uint64_t os_start(model::Pid id) const {
     return slots_[id].os_start.load(std::memory_order_acquire);  // AML_X_EDGE(ipc.lease_identity)
-  }
-
-  // --- quiescence epochs -------------------------------------------------
-
-  std::uint64_t epoch() const {
-    return epoch_[0].value.load(std::memory_order_acquire);  // AML_X_EDGE(ipc.quiesce_epoch)
-  }
-
-  std::uint64_t idle_epoch(model::Pid id) const {
-    return slots_[id].idle_epoch.load(std::memory_order_acquire);  // AML_X_EDGE(ipc.quiesce_epoch)
-  }
-
-  std::uint64_t retired_epoch(model::Pid id) const {
-    return slots_[id].retired_epoch.load(std::memory_order_acquire);  // AML_X_EDGE(ipc.quiesce_epoch)
-  }
-
-  /// Journal that `id`'s holder currently has no shared footprint (no
-  /// passage in flight, no guard held). Called by the table whenever a
-  /// session's guard depth returns to zero.
-  void note_idle(model::Pid id) {
-    slots_[id].idle_epoch.store(epoch(), std::memory_order_release);  // AML_V_EDGE(ipc.quiesce_epoch)
-  }
-
-  /// Reclaim a retired zombie pid once a full-quiescence epoch has passed:
-  /// every live slot's idle mark has reached the victim's retirement epoch,
-  /// proving every live session passed through a no-footprint point since
-  /// the retirement — no live passage can still hold a stale reference to
-  /// anything the victim touched. Conservative on every race (a mid-lease
-  /// holder simply fails the scan until its first note_idle). The reclaimed
-  /// pid becomes ordinarily leasable again.
-  bool try_reclaim_zombie(model::Pid id) {
-    std::uint64_t cur = slots_[id].lease.load(std::memory_order_acquire);  // AML_X_EDGE(ipc.lease_word)
-    if ((cur & kStateMask) != kZombie) return false;
-    const std::uint64_t retired =
-        slots_[id].retired_epoch.load(std::memory_order_acquire);  // AML_X_EDGE(ipc.quiesce_epoch)
-    for (model::Pid p = 0; p < nprocs_; ++p) {
-      if (p == id) continue;
-      const std::uint64_t lease =
-          slots_[p].lease.load(std::memory_order_acquire);  // AML_X_EDGE(ipc.lease_word)
-      if ((lease & kStateMask) != kLive) continue;
-      if (slots_[p].idle_epoch.load(std::memory_order_acquire) < retired) {  // AML_X_EDGE(ipc.quiesce_epoch)
-        return false;
-      }
-    }
-    return slots_[id].lease.compare_exchange_strong(
-        cur, bump_nonce(cur) | kFree, std::memory_order_acq_rel,  // AML_X_EDGE(ipc.lease_word) AML_V_EDGE(ipc.lease_word)
-        std::memory_order_relaxed);
   }
 
   // --- death detection and recovery claims -------------------------------
@@ -351,7 +285,6 @@ class ProcessRegistry {
     std::uint64_t cur = slots_[id].lease.load(std::memory_order_acquire);  // AML_X_EDGE(ipc.lease_word)
     AML_ASSERT((cur & kStateMask) == kRecovering,
                "repossess: slot not claimed");
-    slots_[id].idle_epoch.store(epoch(), std::memory_order_release);  // AML_V_EDGE(ipc.quiesce_epoch)
     publish_identity(id);
     const std::uint64_t next = bump_nonce(cur) | kLive;
     // Plain store: the exclusive claim means no other transition can race.
@@ -361,20 +294,14 @@ class ProcessRegistry {
 
   /// Finish a recovery this process claimed: free the slot for re-lease,
   /// or retire it as a zombie when the victim died inside the one
-  /// journal-blind doorway window (see ShmStripeLockT::recover). Retirement
-  /// opens a new quiescence epoch and records it in the slot, so
-  /// try_reclaim_zombie can later prove the reclamation safe.
+  /// journal-blind doorway window (see ShmStripeLockT::recover). A retired
+  /// slot is terminal: no transition leaves kZombie.
   void finish_recovery(model::Pid id, bool zombie) {
     std::uint64_t cur = slots_[id].lease.load(std::memory_order_acquire);  // AML_X_EDGE(ipc.lease_word)
     AML_ASSERT((cur & kStateMask) == kRecovering,
                "finish_recovery: slot not claimed");
     slots_[id].os_pid.store(0, std::memory_order_release);  // AML_V_EDGE(ipc.lease_identity)
     slots_[id].os_start.store(0, std::memory_order_release);  // AML_V_EDGE(ipc.lease_identity)
-    if (zombie) {
-      const std::uint64_t e =
-          epoch_[0].value.fetch_add(1, std::memory_order_acq_rel) + 1;  // AML_X_EDGE(ipc.quiesce_epoch) AML_V_EDGE(ipc.quiesce_epoch)
-      slots_[id].retired_epoch.store(e, std::memory_order_release);  // AML_V_EDGE(ipc.quiesce_epoch)
-    }
     slots_[id].lease.compare_exchange_strong(
         cur, bump_nonce(cur) | (zombie ? kZombie : kFree),
         std::memory_order_acq_rel, std::memory_order_relaxed);  // AML_X_EDGE(ipc.lease_word) AML_V_EDGE(ipc.lease_word)
@@ -426,9 +353,7 @@ class ProcessRegistry {
     return (lease & ~kStateMask) + (kStateMask + 1);
   }
 
-  void* base_;
   model::Pid nprocs_;
-  EpochCell* epoch_;    ///< global quiescence epoch (allocated before slots)
   ProcessSlot* slots_;
 };
 

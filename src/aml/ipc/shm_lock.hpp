@@ -16,8 +16,8 @@
 //
 // One window remains journal-blind: inside the one-shot doorway before the
 // sink records the tail F&A's slot (kDoorway, attempt unrecorded). A death
-// there retires the pid (kZombie), reclaimable after a full-quiescence
-// epoch (see process_registry.hpp). Only one recoverer touches a stripe at a
+// there retires the pid for good (kZombie is terminal; see
+// process_registry.hpp). Only one recoverer touches a stripe at a
 // time (per-stripe seqlock with dead-holder takeover), and only after
 // winning the victim's registry claim.
 #pragma once
@@ -49,7 +49,7 @@ enum class RecoveryAction : std::uint8_t {
   kResignalled,  ///< death mid-exit: hand-off re-driven from head_snap
   kZombie,       ///< death in the doorway before the sink's slot record —
                  ///  the one remaining journal-blind window; pid retired
-                 ///  (reclaimable after a quiescence epoch, see registry)
+                 ///  for good (see registry)
 };
 
 /// The one long-lived transformation, journaled for crash recovery.
@@ -115,13 +115,6 @@ class ShmStripeLockT : private ShmLongLivedLock {
   std::uint64_t recovery_epoch(Pid self) {
     return mem_.read(self, *recovery_) >> 32;
   }
-
-  /// Reset `p`'s journal to the leasable baseline (phase kIdle, attempt
-  /// cleared). Only valid once the table's reclamation gate has held: the
-  /// quiescence epoch proves no live passage still reads the journal, and a
-  /// frozen phase in {kIdle, kSpinWait, kPreJoin} leaves nothing in the
-  /// stripe itself to repair.
-  void clear_journal(Pid p) { journal_.phase(p, kIdle); }
 
   /// Test hook: forge a pid's journaled phase so recovery arms can be
   /// staged without a precisely-timed crash.
@@ -255,7 +248,7 @@ class ShmStripeLockT : private ShmLongLivedLock {
           // In the one-shot doorway but the tail F&A may or may not have
           // run (the sink journals immediately after it). This is the one
           // window the journal still cannot attribute; the pid is retired
-          // and waits for epoch reclamation.
+          // for good.
           emit_recovery(K::kZombieRetire, exec, victim, obs::kNoSlot,
                         cur_inst);
           return RecoveryAction::kZombie;

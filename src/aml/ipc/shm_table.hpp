@@ -13,16 +13,14 @@
 // ProcessRegistry (so ids are unique across all attached processes). A passage
 // writes no bookkeeping that another pid also writes: its activity record
 // (attempts, last event time) is the pid's own ShmMetrics counter cell, and its
-// abort signal and guard depth sit on the frontend's process-local per-pid
-// line (death detection is ESRCH + start-time — see process_registry.hpp). When
-// a process dies holding locks, a survivor's Session::recover_dead() finds the
-// stale slots, claims them, and drives each victim passage through the
-// abort/exit path on every stripe (see shm_lock.hpp), then frees — or, for a
-// death inside the one journal-blind doorway window, retires — the pid. Retired
-// pids are reclaimed by later sweeps once a full-quiescence epoch proves no
-// live passage references them. A process that *restarts* with its previous
-// incarnation's identity can instead repair its own passage directly via
-// reattach_session().
+// abort signal sits on the frontend's process-local per-pid line (death
+// detection is ESRCH + start-time — see process_registry.hpp). When a process
+// dies holding locks, a survivor's Session::recover_dead() finds the stale
+// slots, claims them, and drives each victim passage through the abort/exit
+// path on every stripe (see shm_lock.hpp), then frees — or, for a death inside
+// the one journal-blind doorway window, retires for good — the pid. A process
+// that *restarts* with its previous incarnation's identity can instead repair
+// its own passage directly via reattach_session().
 //
 // v1 scope (documented limitations, not accidents):
 //   * single-key operations only — the multi-process multi-key transaction
@@ -76,11 +74,11 @@ struct ShmTableConfig {
 };
 
 /// Bump when the construction replay sequence changes shape (new objects,
-/// reordered or resized allocations; layout 7: one arena line per
-/// VersionedSpace record): it is mixed into the config hash, so a binary
-/// laying out the old sequence is rejected at attach instead of replaying a
-/// different construction into live state.
-inline constexpr std::uint64_t kShmLayoutVersion = 7;
+/// reordered or resized allocations; layout 8: no quiescence epoch cell in
+/// the registry): it is mixed into the config hash, so a binary laying out
+/// the old sequence is rejected at attach instead of replaying a different
+/// construction into live state.
+inline constexpr std::uint64_t kShmLayoutVersion = 8;
 
 /// Everything the layout depends on, mixed into the superblock hash so a
 /// mis-configured attacher is rejected instead of replaying a different
@@ -121,7 +119,6 @@ struct RecoveryStats {
   std::uint64_t forced_exits = 0;    ///< holding victims driven to exit
   std::uint64_t resignals = 0;       ///< mid-exit hand-offs re-driven
   std::uint64_t zombie_pids = 0;     ///< pids retired (doorway-blind window)
-  std::uint64_t zombies_reclaimed = 0;  ///< retired pids freed after epoch
   std::uint64_t reentries = 0;       ///< own passages resumed via reattach
   /// LockDesc refcnt units on any stripe with no journaled passage behind
   /// them (a v1 zombie's legacy): value from this process's *last* sweep.
@@ -251,8 +248,8 @@ class ShmNamedLockTable : public table::Frontend<ShmNamedLockTable> {
   }
 
   /// Lease a dense pid for this process. Empty when all nprocs pids are
-  /// live (or retired as zombies) — recover_dead() from any live session
-  /// frees slots of dead holders.
+  /// live or retired as zombies — recover_dead() from any live session
+  /// frees slots of dead holders; a zombie's slot is never freed.
   std::optional<Session> open_session() {
     std::uint64_t token = 0;
     const Pid id = registry_.try_lease(&token);
@@ -332,7 +329,6 @@ class ShmNamedLockTable : public table::Frontend<ShmNamedLockTable> {
   void end_session(Pid pid, std::uint64_t token) {
     registry_.release(pid, token);
   }
-  void note_idle(Pid pid) { registry_.note_idle(pid); }
 
   /// Sweep the registry for dead leaseholders and repair their passages,
   /// executing as `exec`. Reached only through Session::recover_dead, so
@@ -363,29 +359,6 @@ class ShmNamedLockTable : public table::Frontend<ShmNamedLockTable> {
         stats_.recovered_pids++;
         recovered++;
       }
-    }
-    // Epoch-based zombie reclamation: a retired pid is freed once (a) its
-    // frozen journal shows no queue footprint on any stripe — phases
-    // kIdle/kSpinWait/kPreJoin only; a pid frozen in the doorway stays
-    // parked, because re-leasing it would revive a ghost one-shot slot in
-    // an instance that may still be current — and (b) the registry's
-    // quiescence scan proves every live session has been idle since the
-    // retirement, so no stale reference to the pid survives.
-    for (Pid z = 0; z < config_.nprocs; ++z) {
-      if (registry_.state(z) != ProcessRegistry::kZombie) continue;
-      bool footprint = false;
-      for (auto& stripe : stripes_) {
-        const Phase ph = stripe->peek_phase(z);
-        if (ph != kIdle && ph != kSpinWait && ph != kPreJoin) {
-          footprint = true;
-          break;
-        }
-      }
-      if (footprint) continue;
-      if (!registry_.try_reclaim_zombie(z)) continue;
-      for (auto& stripe : stripes_) stripe->clear_journal(z);
-      shm_metrics_.on_zombie_reclaimed(exec, z);
-      stats_.zombies_reclaimed++;
     }
     // Stranded-refcnt audit (a v1 zombie's possible legacy): any excess of
     // a stripe's LockDesc refcnt over the journaled passages that could

@@ -120,11 +120,7 @@ inline void write_stat_json(std::ostream& os, ShmNamedLockTable& table,
     os << "{\"pid\":" << p << ",\"state\":\""
        << stat_detail::lease_state_name(st) << "\",\"os_pid\":" << reg.os_pid(p)
        << ",\"os_start\":" << reg.os_start(p)
-       << ",\"heartbeat\":" << shm.heartbeat(p)
-       << ",\"idle_epoch\":" << reg.idle_epoch(p);
-    if (st == ProcessRegistry::kZombie) {
-      os << ",\"retired_epoch\":" << reg.retired_epoch(p);
-    }
+       << ",\"heartbeat\":" << shm.heartbeat(p);
     if (beat_ns != 0 && now > beat_ns) {
       os << ",\"heartbeat_age_ns\":" << (now - beat_ns);
     }
@@ -142,7 +138,7 @@ inline void write_stat_json(std::ostream& os, ShmNamedLockTable& table,
     }
     os << "]}";
   }
-  os << "],\"epoch\":" << table.registry().epoch();
+  os << "]";
 
   // --- stripes ----------------------------------------------------------
   os << ",\"stripes\":[";

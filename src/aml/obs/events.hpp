@@ -57,8 +57,6 @@ enum class EventKind : std::uint8_t {
                      ///  issued); survivor compensated / redid it itself
   kReentry,          ///< a restarted process resumed its own prior passage
                      ///  via reattach_session
-  kZombieReclaim,    ///< a retired zombie pid reclaimed after a
-                     ///  full-quiescence epoch
 };
 
 inline const char* event_kind_name(EventKind kind) {
@@ -76,15 +74,14 @@ inline const char* event_kind_name(EventKind kind) {
     case EventKind::kFaCompleted: return "fa-completed";
     case EventKind::kFaCompensated: return "fa-compensated";
     case EventKind::kReentry: return "re-entry";
-    case EventKind::kZombieReclaim: return "zombie-reclaimed";
   }
   return "?";
 }
 
 /// True for the kinds a survivor emits while repairing another pid's
-/// passage or pid (re-entry and zombie reclamation included).
+/// passage or pid (re-entry included).
 inline bool event_is_recovery(EventKind kind) {
-  return kind >= EventKind::kForcedExit && kind <= EventKind::kZombieReclaim;
+  return kind >= EventKind::kForcedExit && kind <= EventKind::kReentry;
 }
 
 /// A decoded event (process-local view; never placed in the segment).

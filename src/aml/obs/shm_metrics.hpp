@@ -249,13 +249,8 @@ class ShmMetrics {
     emit(EventKind::kReentry, kNoStripe, p, p, kNoSlot, 0);
   }
 
-  /// A retired zombie pid was reclaimed after a full-quiescence epoch.
-  void on_zombie_reclaimed(model::Pid exec, model::Pid reclaimed) {
-    emit(EventKind::kZombieReclaim, kNoStripe, exec, reclaimed, kNoSlot, 0);
-  }
-
   /// Stripe sentinel for events that describe a whole-service transition
-  /// (re-entry, zombie reclamation) rather than one stripe.
+  /// (re-entry) rather than one stripe.
   static constexpr std::uint32_t kNoStripe = 0xFFFFu;
 
   /// Wall-clock duration of one recovery sweep (recover_dead pass). Sweeps

@@ -130,9 +130,8 @@ inline std::vector<PassageSpan> assemble_passage_spans(
         break;
       case EventKind::kSwitch:
       case EventKind::kReentry:
-      case EventKind::kZombieReclaim:
         // Instants, not spans: switches are stripe-local blips, re-entry
-        // and zombie reclamation are whole-service transitions.
+        // is a whole-service transition.
         break;
     }
   }

@@ -9,7 +9,6 @@
 //   enter_hash(pid, hash, stop) -> bool  enter the key's stripe (a null
 //   exit_hash(pid, hash)                 stop cannot abort)
 //   end_session(pid, token)              return the pid's lease
-//   note_idle(pid)                       the pid now holds no guard
 //   kRecoverable                         optional: enables Session::token()
 //                                        and Session::recover_dead()
 //   plan_hashes, enter_hashes,           optional: the multi-key calls
@@ -20,15 +19,10 @@
 //
 // The timed attempt is aml::timed_enter (core/adapters.hpp): the deadline's
 // token lives on the attempt's stack and is cancelled when `enter` returns,
-// so no deadline outlives its attempt and nothing else can reach it. The
-// guard depth feeds note_idle: a pid provably holds no lock once its last
-// guard is released, or when an acquisition fails while it holds none. Only
-// the pid's session (one thread at a time) writes it, so an update is a load
-// and a store on the pid's own line: no RMW, no shared line.
+// so no deadline outlives its attempt and nothing else can reach it.
 #pragma once
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -69,9 +63,9 @@ class Frontend {
 
   /// A session: a leased dense pid. Move-only. A Session and its guards are
   /// used by one thread at a time (the lock runs one passage per pid at a
-  /// time; the pid's signal and guard depth are written only by that
-  /// thread); hand one over only via a join or a mutex. All guards must be
-  /// released before the Session closes, and it must not outlive its table.
+  /// time, and only that thread arms the pid's signal); hand one over only
+  /// via a join or a mutex. All guards must be released before the Session
+  /// closes, and it must not outlive its table.
   class Session {
    public:
     Session(Session&& o) noexcept
@@ -194,7 +188,6 @@ class Frontend {
         if (Clock::now() >= deadline) break;
         backoff.pause();
       }
-      owner_->note_idle_if_quiet(id_);
       return std::nullopt;
     }
 
@@ -213,10 +206,9 @@ class Frontend {
     Session(Frontend& owner, Pid id, std::uint64_t token)
         : owner_(&owner), id_(id), token_(token) {}
 
-    /// A granted attempt's guard; a refused one may leave the pid idle.
+    /// The guard of a granted attempt; empty if it was refused.
     std::optional<Guard> guard_if(bool granted, std::uint64_t hash) {
       if (granted) return Guard(*owner_, id_, hash);
-      owner_->note_idle_if_quiet(id_);
       return std::nullopt;
     }
     MultiGuard enter_all(std::vector<std::uint64_t> hashes) {
@@ -249,7 +241,6 @@ class Frontend {
     void release() {
       if (owner_ != nullptr) {
         owner_->self().exit_hash(pid_, hash_);
-        owner_->guard_released(pid_);
         owner_ = nullptr;
       }
     }
@@ -258,9 +249,7 @@ class Frontend {
     friend class Session;
     Guard(Frontend& owner, Pid pid, std::uint64_t hash)
         : owner_(&owner), pid_(pid), hash_(hash),
-          stripe_(owner.stripe_of_hash(hash)) {
-      owner.guard_acquired(pid);
-    }
+          stripe_(owner.stripe_of_hash(hash)) {}
 
     Frontend* owner_;
     Pid pid_;
@@ -287,7 +276,6 @@ class Frontend {
     void release() {
       if (owner_ != nullptr) {
         owner_->self().exit_hashes(pid_, hashes_);
-        owner_->guard_released(pid_);
         owner_ = nullptr;
       }
     }
@@ -301,7 +289,6 @@ class Frontend {
       std::sort(stripes_.begin(), stripes_.end());
       stripes_.erase(std::unique(stripes_.begin(), stripes_.end()),
                      stripes_.end());
-      owner.guard_acquired(pid);
     }
 
     Frontend* owner_;
@@ -339,30 +326,11 @@ class Frontend {
                             std::forward<Enter>(enter));
   }
 
-  void guard_acquired(Pid id) {
-    std::atomic<std::uint32_t>& depth = local_[id].guard_depth;
-    const std::uint32_t d = depth.load(std::memory_order_relaxed);  // AML_RELAXED(owner-written guard depth)
-    depth.store(d + 1, std::memory_order_relaxed);  // AML_RELAXED(owner-written guard depth)
-  }
-  void guard_released(Pid id) {
-    std::atomic<std::uint32_t>& depth = local_[id].guard_depth;
-    const std::uint32_t d = depth.load(std::memory_order_relaxed);  // AML_RELAXED(owner-written guard depth)
-    AML_DASSERT(d != 0, "guard depth underflow: session shared by threads?");
-    depth.store(d - 1, std::memory_order_relaxed);  // AML_RELAXED(owner-written guard depth)
-    if (d == 1) self().note_idle(id);
-  }
-  void note_idle_if_quiet(Pid id) {
-    if (local_[id].guard_depth.load(std::memory_order_relaxed) == 0) {  // AML_RELAXED(owner-written guard depth)
-      self().note_idle(id);
-    }
-  }
-
   /// Process-local state of one pid, one cache line so a waiter polling its
-  /// signal never shares it with another session. Only the pid's session
-  /// writes it, but the wheel raises the signal.
+  /// signal never shares it with another session. The pid's session lowers
+  /// the signal; the wheel raises it.
   struct alignas(pal::kCacheLine) PidLocal {
     AbortSignal signal;  ///< timed attempts only
-    std::atomic<std::uint32_t> guard_depth{0};  ///< live guards
   };
 
   /// One per dense pid. Declared before wheel_ so it outlives the wheel

@@ -166,7 +166,6 @@ class BasicNamedLockTable
     table_.exit_hashes(pid, hashes);
   }
   void end_session(Pid pid, std::uint64_t /*token*/) { registry_.release(pid); }
-  void note_idle(Pid /*pid*/) {}
 
   /// Called at the top of every acquisition: with auto_grow on, every
   /// grow_check_interval-th call runs the grow policy. The counter is a

@@ -10,6 +10,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -308,6 +309,28 @@ TEST(ShmIpcStat, ZombieRetireArmEmitsOneTypedEventWithVictim) {
   EXPECT_EQ(shm.recovery_totals().zombie_retires, 1u);
   EXPECT_EQ(table->registry().state(victim->id()), ProcessRegistry::kZombie);
   EXPECT_EQ(table->recovery_stats().zombie_pids, 1u);
+
+  // The zombie stays parked: later sweeps neither free nor re-retire it
+  // (nothing rewrites its frozen kDoorway phase, and death detection only
+  // acts on a live lease word).
+  for (int sweep = 0; sweep < 3; ++sweep) {
+    EXPECT_EQ(survivor->recover_dead(), 0u) << "sweep " << sweep;
+    EXPECT_EQ(table->registry().state(victim->id()), ProcessRegistry::kZombie)
+        << "sweep " << sweep;
+    EXPECT_EQ(table->recovery_stats().zombie_pids, 1u) << "sweep " << sweep;
+  }
+  EXPECT_EQ(events_of_kind(shm, EventKind::kZombieRetire).size(), 1u);
+  EXPECT_EQ(shm.recovery_totals().zombie_retires, 1u);
+
+  // Its pid is never leased again: the remaining pids are, then the table
+  // is full.
+  std::vector<ShmNamedLockTable::Session> rest;
+  while (auto session = table->open_session()) {
+    EXPECT_NE(session->id(), victim->id());
+    rest.push_back(std::move(*session));
+  }
+  EXPECT_EQ(rest.size(), small_config().nprocs - 2u);
+  EXPECT_FALSE(table->open_session().has_value());
 }
 
 TEST(ShmIpcStat, JoinedVictimAbortedOnBehalfWithOneTypedEvent) {
@@ -632,17 +655,16 @@ TEST(ShmIpcStat, PeekConfigDiscoversCreatorLayout) {
 }
 
 // Every layout bump changes the construction replay or the meaning of a
-// shm word (layout 6: the counter cell's last_ns, the registry slot without
-// its heartbeat words; layout 7: one arena line per VersionedSpace record):
-// a segment laid out by the previous layout's binary must be refused, never
-// replayed.
+// shm word (layout 7: one arena line per VersionedSpace record; layout 8:
+// no quiescence epoch cell in the registry): a segment laid out by the
+// previous layout's binary must be refused, never replayed.
 TEST(ShmIpcStat, PreviousLayoutSegmentIsRejectedCleanly) {
   ScopedSegment seg("stat-prevlayout");
   const ShmTableConfig cfg = small_config();
   std::string error;
   auto table = ShmNamedLockTable::create(seg.name, cfg, &error);
   ASSERT_NE(table, nullptr) << error;
-  ASSERT_EQ(kShmLayoutVersion, 7u);
+  ASSERT_EQ(kShmLayoutVersion, 8u);
   // Forge what a previous-layout creator leaves: its version in the header,
   // and a config hash other than ours (the layout version is mixed into it).
   ShmArena& arena = table->arena();
@@ -653,7 +675,7 @@ TEST(ShmIpcStat, PreviousLayoutSegmentIsRejectedCleanly) {
 
   ShmTableConfig peeked;
   EXPECT_FALSE(ShmNamedLockTable::peek_config(seg.name, &peeked, &error));
-  EXPECT_NE(error.find("layout version mismatch (have 6, want 7)"),
+  EXPECT_NE(error.find("layout version mismatch (have 7, want 8)"),
             std::string::npos)
       << error;
   error.clear();

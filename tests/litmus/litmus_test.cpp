@@ -305,32 +305,6 @@ TEST(LitmusIpcLeaseIdentity, PidNeverVisibleWithoutStart) {
   });
 }
 
-// ---- ipc.quiesce_epoch -----------------------------------------------------
-// Idle-epoch marks (ipc/process_registry.hpp note_idle release store ->
-// zombie-reclaim acquire scan): a scanner trusting an idle mark must see
-// the marker's dropped footprint.
-TEST(LitmusIpcQuiesceEpoch, IdleMarkPublishesDroppedFootprint) {
-  constexpr int kRounds = 2000;
-  std::atomic<std::uint64_t> idle_epoch{0};
-  std::vector<std::uint64_t> footprint(kRounds + 1, 1);  // plain
-  pal::run_threads(2, [&](std::uint32_t t) {
-    if (t == 0) {
-      for (int i = 1; i <= kRounds; ++i) {
-        footprint[i] = 0;  // drop the footprint…
-        idle_epoch.store(i, std::memory_order_release);  // …then mark idle
-      }
-    } else {
-      std::uint64_t seen = 0;
-      while (seen < kRounds) {
-        const std::uint64_t e = idle_epoch.load(std::memory_order_acquire);
-        if (e == seen) continue;
-        seen = e;
-        EXPECT_EQ(footprint[e], 0u);  // the mark implies the drop
-      }
-    }
-  });
-}
-
 // ---- ipc.arena_seal --------------------------------------------------------
 // The real arena: every pre-seal byte the creator wrote must be visible to
 // an attacher that observed ready == 1 (ipc/shm_arena.hpp seal -> attach).

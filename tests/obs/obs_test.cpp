@@ -44,8 +44,7 @@ static_assert(static_cast<int>(EventKind::kEnter) == 1 &&
                   static_cast<int>(EventKind::kZombieRetire) == 10 &&
                   static_cast<int>(EventKind::kFaCompleted) == 11 &&
                   static_cast<int>(EventKind::kFaCompensated) == 12 &&
-                  static_cast<int>(EventKind::kReentry) == 13 &&
-                  static_cast<int>(EventKind::kZombieReclaim) == 14,
+                  static_cast<int>(EventKind::kReentry) == 13,
               "event kinds are persisted in live segments: never renumber");
 static_assert(sizeof(EventSlot) == 40,
               "the ring slot layout is persisted in live segments");
@@ -182,10 +181,8 @@ TEST(EventRingTest, KindNames) {
   EXPECT_STREQ(event_kind_name(EventKind::kFaCompleted), "fa-completed");
   EXPECT_STREQ(event_kind_name(EventKind::kFaCompensated), "fa-compensated");
   EXPECT_STREQ(event_kind_name(EventKind::kReentry), "re-entry");
-  EXPECT_STREQ(event_kind_name(EventKind::kZombieReclaim),
-               "zombie-reclaimed");
   // The lifecycle kinds are the owner's own; the rest are a survivor's.
-  for (int k = 1; k <= 14; ++k) {
+  for (int k = 1; k <= 13; ++k) {
     EXPECT_EQ(event_is_recovery(static_cast<EventKind>(k)), k >= 6) << k;
   }
 }

@@ -55,7 +55,7 @@ void print_watch(std::ostream& os, ShmNamedLockTable& table) {
 
   os << "\033[2J\033[H";  // clear + home
   os << "segment " << table.arena().name() << "   nprocs " << cfg.nprocs
-     << "  stripes " << cfg.stripes << "  epoch " << table.registry().epoch()
+     << "  stripes " << cfg.stripes
      << "  ring " << shm.ring_total() << "/"
      << cfg.ring_capacity << " (" << shm.ring_dropped() << " dropped)\n\n";
 
