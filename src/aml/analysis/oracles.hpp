@@ -2,7 +2,7 @@
 //
 // Each oracle wraps one shared structure and exposes a read-only probe
 // suitable for StepScheduler::add_invariant_probe(): the scheduler calls it
-// at every decision point (every worker parked), so the oracle sees every
+// at every decision point (every process suspended), so the oracle sees every
 // reachable intermediate state of every explored execution. A probe returns
 // an empty string while the invariant holds and a description of the first
 // violation otherwise; the scheduler records it in Result::violation together

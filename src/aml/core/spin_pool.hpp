@@ -132,7 +132,8 @@ class SpinNodePool {
   }
 
   /// Mark a selected node issued. Idempotent, so a recoverer may redo it.
-  void commit(Pid /*exec*/, Pid owner, std::uint32_t global_idx) {
+  void commit(Pid /*exec*/, [[maybe_unused]] Pid owner,
+              std::uint32_t global_idx) {
     AML_DASSERT(global_idx / per_pool_ == owner, "commit by non-owner");
     mark(global_idx).store(kIssued, std::memory_order_release);  // AML_V_EDGE(ipc.node_state)
   }

@@ -172,8 +172,8 @@ class Tree {
   }
 
   /// Oracle probe: raw value of node (lvl, idx) with no gating and no RMR
-  /// accounting. Safe from the scheduler thread between grants (every worker
-  /// is parked); virtual nodes read as EMPTY. Not part of the algorithm.
+  /// accounting. Safe from the scheduler between grants (every process is
+  /// suspended); virtual nodes read as EMPTY. Not part of the algorithm.
   std::uint64_t peek_node(std::uint32_t lvl, std::uint64_t idx) const {
     if (lvl < 1 || lvl >= levels_.size()) return empty_;
     const auto& level = levels_[lvl];

@@ -33,8 +33,8 @@
 // *how many* chargeable branches a single execution may take. Composition
 // with a finite preemption bound is heuristically incomplete (a backtrack
 // point can exceed the budget and be dropped — see "bounded partial-order
-// reduction" literature); raise the bound (the nightly CI job does) for
-// stronger guarantees.
+// reduction" literature); raise the bound (the bound-3 ctests in
+// tools/CMakeLists.txt do) for stronger guarantees.
 //
 // Abort signals must be modelled as gated Signals (model::alloc_signal /
 // raise_signal) for DPOR workloads: a plain std::atomic<bool> store has no

@@ -15,6 +15,12 @@
 //     raised, so schedule exploration terminates (this mirrors the CC cost
 //     model: a cached re-read is invisible to shared memory).
 //
+// Each simulated process runs as a ucontext fiber on the thread that calls
+// run(). A gate (on_step/on_block) records the process' state and switches
+// back to the scheduler, which resumes exactly one fiber per grant. Nothing
+// runs concurrently, so no state here needs a lock or a cross-thread order,
+// and an execution starts no OS thread however many processes it has.
+//
 // Liveness violations (no runnable process while some are blocked) and step
 // budget exhaustion indicate algorithm bugs; the scheduler writes a
 // replayable trace file (the full choice sequence — see aml/analysis/trace),
@@ -22,16 +28,19 @@
 // that can be reproduced exactly with policies::replay or tools/aml_replay.
 #pragma once
 
+#include <sys/mman.h>
+#include <ucontext.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <atomic>
-#include <condition_variable>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <deque>
 #include <functional>
-#include <mutex>
+#include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "aml/analysis/trace.hpp"
@@ -212,29 +221,39 @@ class StepScheduler final : public model::ScheduleHook {
   /// Register an invariant probe: a read-only predicate over the workload's
   /// state (typically an aml::analysis oracle bound to the world under test)
   /// evaluated at *every* decision point and once after the last process
-  /// finishes. Safe because probes run on the scheduler thread while every
-  /// worker is parked. Return "" when the invariant holds, a description of
-  /// the violation otherwise. The first violation is recorded in
-  /// Result::violation (with the step number) and the execution continues,
+  /// finishes. Safe because probes run on the scheduler's context while
+  /// every process' fiber is suspended. Return "" when the invariant holds, a
+  /// description of the violation otherwise. The first violation is recorded
+  /// in Result::violation (with the step number) and the execution continues,
   /// so the caller still gets a complete, replayable choice sequence.
   void add_invariant_probe(std::function<std::string()> probe) {
     probes_.push_back(std::move(probe));
   }
 
-  /// Run `body(p)` for p = 0..nprocs-1 to completion under this scheduler.
-  /// The memory model(s) used by `body` must have this scheduler installed
-  /// as their hook before calling run().
+  /// Run `body(p)` for p = 0..nprocs-1 to completion under this scheduler,
+  /// each on its own fiber of the calling thread. The memory model(s) used
+  /// by `body` must have this scheduler installed as their hook before
+  /// calling run(). A body waits for other processes only through gated
+  /// model operations: an OS-level wait would stall every fiber.
   Result run(const std::function<void(Pid)>& body) {
-    std::vector<std::thread> threads;
-    threads.reserve(nprocs_);
+    body_ = &body;
+    const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+    const std::size_t slot = kStackBytes + page;  // guard page below each
+    const std::size_t bytes = slot * nprocs_;
+    void* region = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                          MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    AML_ASSERT(region != MAP_FAILED, "cannot map fiber stacks");
+    auto* base = static_cast<char*>(region);
     for (Pid p = 0; p < nprocs_; ++p) {
-      threads.emplace_back([this, &body, p] {
-        body(p);
-        finish(p);
-      });
+      char* guard = base + slot * p;
+      const int rc = ::mprotect(guard, page, PROT_NONE);
+      AML_ASSERT(rc == 0, "cannot protect a fiber stack's guard page");
+      make_fiber(p, guard + page);
     }
+    // Run every process up to its first gate, then grant steps one by one.
+    for (Pid p = 0; p < nprocs_; ++p) resume(p);
     drive();
-    for (auto& t : threads) t.join();
+    ::munmap(region, bytes);
     Result result;
     result.steps = step_;
     if (config_.record_trace) {
@@ -249,29 +268,20 @@ class StepScheduler final : public model::ScheduleHook {
   // --- ScheduleHook ----------------------------------------------------
 
   void on_footprint(Pid p, const model::Footprint& f) override {
-    // Called by the worker thread immediately before its on_step()/on_block()
-    // park. No lock needed: the write is ordered before the scheduler's read
-    // by the mutex acquire in the park that follows, and the scheduler only
-    // reads footprints of parked (settled) processes.
+    // Called by process p's fiber immediately before its on_step()/on_block()
+    // park; the scheduler reads it once the fiber has switched back.
     procs_[p].footprint = f;
   }
 
   void on_step(Pid p) override {
-    std::unique_lock<std::mutex> lk(mu_);
-    Proc& proc = procs_[p];
-    proc.state = State::kAtGate;
-    cv_sched_.notify_one();
-    // The grant itself moves us to kRunning (scheduler-side), so the
-    // scheduler never observes a granted process as still runnable.
-    proc.cv.wait(lk, [&] { return proc.granted; });
-    proc.granted = false;
+    procs_[p].state = State::kAtGate;
+    park(p);
   }
 
   void on_block(Pid p, const std::atomic<std::uint64_t>* version,
                 std::uint64_t seen_version, const std::atomic<bool>* stop,
                 const std::atomic<std::uint64_t>* version2 = nullptr,
                 std::uint64_t seen2 = 0) override {
-    std::unique_lock<std::mutex> lk(mu_);
     Proc& proc = procs_[p];
     proc.state = State::kBlocked;
     proc.version = version;
@@ -279,14 +289,15 @@ class StepScheduler final : public model::ScheduleHook {
     proc.version2 = version2;
     proc.seen2 = seen2;
     proc.stop = stop;
-    cv_sched_.notify_one();
-    proc.cv.wait(lk, [&] { return proc.granted; });
-    proc.granted = false;
+    park(p);
   }
 
  private:
+  /// Usable stack of one fiber. Pages are committed on first touch, so a
+  /// sweep over thousands of processes costs only the depth they reach.
+  static constexpr std::size_t kStackBytes = 256 * 1024;
+
   enum class State : std::uint8_t {
-    kNotStarted,
     kRunning,
     kAtGate,
     kBlocked,
@@ -294,21 +305,48 @@ class StepScheduler final : public model::ScheduleHook {
   };
 
   struct Proc {
-    State state = State::kNotStarted;
-    bool granted = false;
+    State state = State::kRunning;
     const std::atomic<std::uint64_t>* version = nullptr;
     std::uint64_t seen_version = 0;
     const std::atomic<std::uint64_t>* version2 = nullptr;
     std::uint64_t seen2 = 0;
     const std::atomic<bool>* stop = nullptr;
     model::Footprint footprint;  ///< footprint of the next gated step
-    std::condition_variable cv;
+    ucontext_t context{};        ///< saved while the fiber is suspended
   };
 
-  void finish(Pid p) {
-    std::lock_guard<std::mutex> lk(mu_);
-    procs_[p].state = State::kDone;
-    cv_sched_.notify_one();
+  /// Prepare p's fiber on the kStackBytes starting at `stack`. Out of line:
+  /// getcontext returns twice as far as the compiler knows, which must not
+  /// clobber run()'s locals.
+  [[gnu::noinline]] void make_fiber(Pid p, char* stack) {
+    ucontext_t& ctx = procs_[p].context;
+    const int rc = ::getcontext(&ctx);
+    AML_ASSERT(rc == 0, "getcontext failed");
+    ctx.uc_stack.ss_sp = stack;
+    ctx.uc_stack.ss_size = kStackBytes;
+    ctx.uc_link = &scheduler_context_;  // a finished body returns here
+    const std::uint64_t self = reinterpret_cast<std::uintptr_t>(this);
+    ::makecontext(&ctx, reinterpret_cast<void (*)()>(&fiber_main), 3,
+                  static_cast<unsigned>(self >> 32),
+                  static_cast<unsigned>(self), static_cast<unsigned>(p));
+  }
+
+  /// makecontext passes only int arguments, so `this` arrives in halves.
+  static void fiber_main(unsigned self_hi, unsigned self_lo, unsigned p) {
+    auto* self = reinterpret_cast<StepScheduler*>(
+        static_cast<std::uintptr_t>((std::uint64_t{self_hi} << 32) | self_lo));
+    (*self->body_)(static_cast<Pid>(p));
+    self->procs_[p].state = State::kDone;
+  }
+
+  /// Switch to p's fiber; returns once it parks at a gate or finishes.
+  void resume(Pid p) {
+    ::swapcontext(&scheduler_context_, &procs_[p].context);
+  }
+
+  /// Switch from p's fiber back to the scheduler; returns at p's next grant.
+  void park(Pid p) {
+    ::swapcontext(&procs_[p].context, &scheduler_context_);
   }
 
   static bool blocked_runnable(const Proc& proc) {
@@ -323,22 +361,9 @@ class StepScheduler final : public model::ScheduleHook {
            proc.stop->load(std::memory_order_acquire);
   }
 
-  bool settled() const {
-    for (const Proc& proc : procs_) {
-      if (proc.state == State::kNotStarted || proc.state == State::kRunning) {
-        return false;
-      }
-    }
-    return true;
-  }
-
   void drive() {
-    std::unique_lock<std::mutex> lk(mu_);
     for (;;) {
-      // Wait until every process is parked at a gate, blocked, or done, so
-      // grant decisions never race with an in-flight operation.
-      cv_sched_.wait(lk, [&] { return settled(); });
-
+      // Every fiber is suspended at a gate, blocked, or done here.
       std::vector<Pid> runnable;
       bool all_done = true;
       for (Pid p = 0; p < nprocs_; ++p) {
@@ -376,10 +401,8 @@ class StepScheduler final : public model::ScheduleHook {
       if (step_ > config_.max_steps) {
         dump_and_abort("step budget exhausted (livelock?)");
       }
-      Proc& proc = procs_[pick];
-      proc.state = State::kRunning;  // not runnable again until it re-posts
-      proc.granted = true;
-      proc.cv.notify_one();
+      procs_[pick].state = State::kRunning;
+      resume(pick);
     }
   }
 
@@ -452,9 +475,9 @@ class StepScheduler final : public model::ScheduleHook {
   Pid nprocs_;
   Config config_;
   pal::Xoshiro256 rng_;
-  std::mutex mu_;
-  std::condition_variable cv_sched_;
-  std::deque<Proc> procs_;
+  std::vector<Proc> procs_;  ///< sized once: a saved context must not move
+  ucontext_t scheduler_context_{};
+  const std::function<void(Pid)>* body_ = nullptr;
   std::uint64_t step_ = 0;
   std::vector<std::uint64_t> steps_of_;
   std::vector<Pid> choices_;  ///< full grant sequence (always recorded)

@@ -27,8 +27,6 @@ namespace {
 using model::CountingCcModel;
 using model::Pid;
 
-bool deep_mode() { return std::getenv("AMLOCK_EXPLORE_DEEP") != nullptr; }
-
 std::string temp_dir() {
   const char* t = std::getenv("TMPDIR");
   return (t != nullptr && t[0] != '\0') ? t : "/tmp";
@@ -128,14 +126,12 @@ TEST(DporEquivalence, CleanWorkloadPassesUnderDpor) {
   EXPECT_GT(stats.executions, 10u);  // a real state space was covered
   EXPECT_GT(stats.races_seen, 0u);
 
-  if (deep_mode()) {
-    // Nightly: the unreduced search over the same workload must agree.
-    config.reduction = sched::Reduction::kNone;
-    const auto full = sched::explore(config, clean->factory);
-    EXPECT_FALSE(full.failed) << full.failure;
-    EXPECT_FALSE(full.truncated);
-    EXPECT_LT(stats.executions, full.executions);
-  }
+  // The unreduced search over the same workload must agree.
+  config.reduction = sched::Reduction::kNone;
+  const auto full = sched::explore(config, clean->factory);
+  EXPECT_FALSE(full.failed) << full.failure;
+  EXPECT_FALSE(full.truncated);
+  EXPECT_LT(stats.executions, full.executions);
 }
 
 TEST(DporEquivalence, FailureTraceReplaysDeterministically) {

@@ -1,10 +1,12 @@
 // Deterministic scheduler: determinism per seed, policy control, blocking
-// semantics, idle callbacks, and signal-driven wakeups.
+// semantics, idle callbacks, signal-driven wakeups, and every process on the
+// calling thread.
 #include "aml/sched/scheduler.hpp"
 
 #include <gtest/gtest.h>
 
 #include <mutex>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -225,6 +227,28 @@ TEST(Scheduler, ManyProcessesComplete) {
   });
   m.set_hook(nullptr);
   EXPECT_EQ(m.peek(*w), kN * 5u);
+}
+
+TEST(Scheduler, BodiesRunOnTheCallingThread) {
+  constexpr Pid kN = 8;
+  CountingCcModel m(kN);
+  auto* w = m.alloc(1, 0);
+  StepScheduler sched(kN, {.seed = 8});
+  // Each body writes only its own slots, so the check is race-free even
+  // where bodies would run on threads of their own.
+  std::vector<std::thread::id> before(kN);
+  std::vector<std::thread::id> after(kN);
+  m.set_hook(&sched);
+  sched.run([&](Pid p) {
+    before[p] = std::this_thread::get_id();
+    for (int i = 0; i < 3; ++i) m.faa(p, *w, 1);
+    after[p] = std::this_thread::get_id();
+  });
+  m.set_hook(nullptr);
+  for (Pid p = 0; p < kN; ++p) {
+    EXPECT_EQ(before[p], std::this_thread::get_id()) << "p" << p;
+    EXPECT_EQ(after[p], std::this_thread::get_id()) << "p" << p;
+  }
 }
 
 }  // namespace

@@ -15,7 +15,7 @@
 //              [--trace-dir DIR]
 //       Run the explorer over a registered workload. Exit 0 when no failing
 //       execution was found, 4 when one was (its trace path is printed) —
-//       the CI nightly deep-exploration job is built on this.
+//       the bound-3 ctests (tools/CMakeLists.txt) are built on this.
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
