@@ -5,8 +5,10 @@
 //
 // Public surface:
 //   * aml::AbortableLock / aml::AbortSignal  — production lock (native).
-//   * aml::core::OneShotLock                 — Section 3 one-shot lock.
-//   * aml::core::OneShotLockDsm              — Section 3 DSM variant.
+//   * aml::core::OneShotLock                 — Section 3 one-shot lock;
+//     its Wake policy (CcWake default, DsmWake) selects the CC algorithm
+//     or the DSM variant.
+//   * aml::core::OneShotLockDsm              — alias: the DsmWake lock.
 //   * aml::core::Tree                        — Section 4 ordered set.
 //   * aml::core::LongLivedLock               — Section 6 transformation.
 //   * aml::model::*                          — memory models: native and

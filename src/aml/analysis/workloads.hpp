@@ -19,7 +19,8 @@
 // it — the third process sleeps forever. The abort signal is a gated
 // model::Signal so DPOR sees the raise/observe race (a plain std::atomic
 // store would have no footprint and the reduction could unsoundly prune the
-// failing interleaving).
+// failing interleaving). `oneshot-dsm-handoff-bug`/`-clean` run the same
+// body with the DSM variant (OneShotLockDsm) on the counting DSM model.
 #pragma once
 
 #include <atomic>
@@ -32,6 +33,7 @@
 #include "aml/core/longlived.hpp"
 #include "aml/core/oneshot.hpp"
 #include "aml/model/counting_cc.hpp"
+#include "aml/model/counting_dsm.hpp"
 #include "aml/sched/explorer.hpp"
 #include "aml/table/lock_table.hpp"
 
@@ -50,21 +52,23 @@ namespace detail {
 /// abort signal as its only (gated) step. `inject` disables the abort path's
 /// responsibility hand-off. Failures reported: mutual-exclusion violation,
 /// lost wake-up (a competitor parked forever; detected by the idle rescue),
-/// and any oracle violation (folded in by ExecutionContext::run).
-inline void oneshot_handoff(sched::ExecutionContext& ctx, bool inject) {
-  using Model = model::CountingCcModel;
+/// and any oracle violation (folded in by ExecutionContext::run). `Wake`
+/// selects the CC algorithm or the DSM variant (run on its own model).
+template <typename Model, typename Wake>
+void oneshot_handoff(sched::ExecutionContext& ctx, bool inject) {
+  using Lock = core::OneShotLock<Model, obs::NullMetrics, Wake>;
   constexpr Pid kProcs = 4;
   constexpr std::uint32_t kSlots = 3;
   Model m(kProcs);
   m.set_hook(&ctx.scheduler());
-  core::OneShotLock<Model> lock(m, kSlots, /*w=*/4, core::Find::kPlain);
+  Lock lock(m, kSlots, /*w=*/4, core::Find::kPlain);  // spin bits: p0..p2
   if (inject) {
     core::FaultInjection faults;
     faults.skip_abort_responsibility = true;
     lock.inject_faults(faults);
   }
 
-  OneShotOracle<core::OneShotLock<Model>> queue_oracle(lock);
+  OneShotOracle<Lock> queue_oracle(lock);
   TreeOracle<Model> tree_oracle(lock.tree());
   OracleSet oracles;
   oracles.watch(queue_oracle);
@@ -89,7 +93,7 @@ inline void oneshot_handoff(sched::ExecutionContext& ctx, bool inject) {
 
   std::atomic<int> in_cs{0};
   std::atomic<bool> overlap{false};
-  Model::Word* scratch = m.alloc(1, 0);
+  typename Model::Word* scratch = m.alloc(1, 0);
 
   ctx.run([&](Pid p) {
     if (p == 3) {
@@ -604,7 +608,8 @@ inline const std::vector<WorkloadInfo>& workload_registry() {
           "bug): an abort racing an exit loses a wake-up",
           4,
           [](sched::ExecutionContext& ctx) {
-            detail::oneshot_handoff(ctx, /*inject=*/true);
+            detail::oneshot_handoff<model::CountingCcModel, core::CcWake>(
+                ctx, /*inject=*/true);
           },
       },
       {
@@ -613,7 +618,28 @@ inline const std::vector<WorkloadInfo>& workload_registry() {
           "exploration",
           4,
           [](sched::ExecutionContext& ctx) {
-            detail::oneshot_handoff(ctx, /*inject=*/false);
+            detail::oneshot_handoff<model::CountingCcModel, core::CcWake>(
+                ctx, /*inject=*/false);
+          },
+      },
+      {
+          "oneshot-dsm-handoff-bug",
+          "the DSM variant (DsmWake, counting DSM model) with the abort "
+          "responsibility hand-off skipped: the same lost wake-up",
+          4,
+          [](sched::ExecutionContext& ctx) {
+            detail::oneshot_handoff<model::CountingDsmModel, core::DsmWake>(
+                ctx, /*inject=*/true);
+          },
+      },
+      {
+          "oneshot-dsm-handoff-clean",
+          "the DSM variant with the hand-off intact: must pass under full "
+          "exploration",
+          4,
+          [](sched::ExecutionContext& ctx) {
+            detail::oneshot_handoff<model::CountingDsmModel, core::DsmWake>(
+                ctx, /*inject=*/false);
           },
       },
       {

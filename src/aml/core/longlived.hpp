@@ -220,7 +220,8 @@ static_assert(std::is_empty_v<NullJournal>,
 ///   SpacePolicy — instance recycling scheme: VersionedSpace (the paper's
 ///                 lazy reset; default) or EagerSpace (the O(s) ablation);
 ///   OneShotT    — the one-shot lock to transform: OneShotLock (the paper's
-///                 CC algorithm; default) or OneShotLockDsm. The paper's
+///                 CC algorithm; default) or OneShotLockDsm (the same body
+///                 with the DsmWake policy). The paper's
 ///                 transformation is CC-only (its Spn busy-wait spins on a
 ///                 shared node); composing with the DSM variant is the
 ///                 Section 8 open problem, offered here for exploration —
@@ -229,7 +230,8 @@ static_assert(std::is_empty_v<NullJournal>,
 ///                 NullMetrics compiles every instrumentation point away;
 ///   Journal     — NullJournal (default) or ipc::ShmJournal; see the header.
 template <typename M, template <typename> class SpacePolicy = VersionedSpace,
-          template <typename, typename> class OneShotT = OneShotLock,
+          template <typename, typename, typename...> class OneShotT =
+              OneShotLock,
           typename Metrics = obs::NullMetrics, typename Journal = NullJournal>
 class LongLivedLock {
  public:

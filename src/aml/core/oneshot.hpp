@@ -21,15 +21,21 @@
 // Each process may attempt to acquire a given instance at most once (the
 // long-lived transformation of Section 6 lifts this restriction).
 //
-// OneShotLockDsm is the DSM variant (Section 3, "DSM variant"): since a
-// process' dynamically-assigned go slot cannot be guaranteed local in DSM,
-// the process publishes a process-local spin bit in announce[i] and spins on
-// that; SignalNext writes go[i] = 1, reads announce[i], and sets the
-// published spin bit.
+// One body serves both of the paper's variants. The `Wake` policy selects
+// the only two steps in which they differ — where a queued process spins
+// (line 2) and how SignalNext wakes it (line 19):
+//   CcWake  (default) — the CC algorithm as printed: spin on go[i], which a
+//           CC cache keeps local; SignalNext's go[j] <- 1 is the wake.
+//   DsmWake (Section 3, "DSM variant") — a process' dynamically-assigned go
+//           slot cannot be guaranteed local in DSM, so the process publishes
+//           a process-local spin bit in announce[i] and spins on that;
+//           SignalNext writes go[j] = 1, reads announce[j], and sets the
+//           published spin bit. OneShotLockDsm names this instantiation.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
 #include "aml/model/concepts.hpp"
@@ -59,6 +65,13 @@ struct EnterResult {
   std::uint32_t slot = 0;
 };
 
+/// Wake policies of OneShotLock (see the header comment). CcWake adds no
+/// word and no step; DsmWake requires the space to provide
+/// alloc_owned(owner, n, init) — the per-process spin bits are local to
+/// their owner, everything else is placed like the CC variant.
+struct CcWake {};
+struct DsmWake {};
+
 namespace detail {
 /// LastExited's initial value: the paper's -1 ("no process exited yet").
 inline constexpr std::uint64_t kNoneExited = ~std::uint64_t{0};
@@ -80,26 +93,27 @@ struct FaultInjection {
 
 /// `Metrics` selects the observability sink (see aml/obs/metrics.hpp). The
 /// default NullMetrics compiles every instrumentation point to nothing.
-template <typename Space, typename Metrics = obs::NullMetrics>
+template <typename Space, typename Metrics = obs::NullMetrics,
+          typename Wake = CcWake>
 class OneShotLock {
+  static constexpr bool kDsm = std::is_same_v<Wake, DsmWake>;
+  struct Init {};
+
  public:
   using Word = typename Space::Word;
   using MetricsSink = Metrics;
 
+  /// Under DsmWake this allocates one spin bit per slot index, i.e. for
+  /// pids 0..n_slots-1 — the long-lived transformation's case.
   OneShotLock(Space& space, std::uint32_t n_slots, std::uint32_t w,
               Find find = Find::kAdaptive)
-      : space_(space),
-        n_(n_slots),
-        find_(find),
-        tree_(space, n_slots, w) {
-    tail_ = space_.alloc(1, 0);
-    head_ = space_.alloc(1, 0);
-    last_exited_ = space_.alloc(1, detail::kNoneExited);
-    go_.reserve(n_slots);
-    for (std::uint32_t i = 0; i < n_slots; ++i) {
-      go_.push_back(space_.alloc(1, i == 0 ? 1 : 0));  // go = [1, 0, ..., 0]
-    }
-  }
+      : OneShotLock(Init{}, space, n_slots, w, n_slots, find) {}
+
+  /// DsmWake with one spin bit for each of pids 0..nprocs-1.
+  OneShotLock(Space& space, std::uint32_t n_slots, std::uint32_t w,
+              Pid nprocs, Find find = Find::kAdaptive)
+    requires kDsm
+      : OneShotLock(Init{}, space, n_slots, w, nprocs, find) {}
 
   OneShotLock(const OneShotLock&) = delete;
   OneShotLock& operator=(const OneShotLock&) = delete;
@@ -118,19 +132,37 @@ class OneShotLock {
     AML_ASSERT(i < n_, "one-shot lock capacity exceeded (re-entry?)");
     const std::uint32_t slot = static_cast<std::uint32_t>(i);
     obs_.on_enter(self, slot);
-    // Acquire side of the grant: leaving the spin makes everything the
-    // signaller did before go[i] <- 1 visible (its CS, Head, LastExited).
-    auto outcome = space_.wait(  // AML_X_EDGE(oneshot.grant)
-        self, *go_[slot],
-        [this, self](std::uint64_t v) {
-          obs_.on_spin_iteration(self);
-          return v != 0;
-        },
-        abort_signal);
-    if (outcome.stopped) {  // lines 3-5
-      abort_slot(self, slot);
-      obs_.on_abort(self, slot);
-      return {false, slot};
+    Word* spin = go_[slot];
+    bool granted = false;
+    if constexpr (kDsm) {
+      // Publish the local spin bit, then check go[i]; the signaller writes
+      // go[i] before reading announce[i], so one side always sees the
+      // other. This is a Dekker (store-buffering) pattern: both the announce
+      // write / go read here and the go write / announce read in
+      // signal_next MUST stay seq_cst — acquire/release alone permits the
+      // r1=0, r2=0 outcome (both sides miss each other) and the grant is
+      // lost.
+      space_.write(self, *dsm_.announce[slot], self);
+      granted = space_.read(self, *go_[slot]) != 0;
+      spin = dsm_.spin[self];
+    }
+    if (!granted) {
+      // Acquire side of the wake (line 2): leaving the spin makes
+      // everything the signaller did before its release store visible (its
+      // CS, Head, LastExited). CcWake spins on go[i], DsmWake on its bit:
+      // AML_X_EDGE(oneshot.grant) AML_X_EDGE(oneshot.dsm_wake)
+      auto outcome = space_.wait(
+          self, *spin,
+          [this, self](std::uint64_t v) {
+            obs_.on_spin_iteration(self);
+            return v != 0;
+          },
+          abort_signal);
+      if (outcome.stopped) {  // lines 3-5
+        abort_slot(self, slot);
+        obs_.on_abort(self, slot);
+        return {false, slot};
+      }
     }
     space_.write(self, *head_, i);  // line 6
     obs_.on_granted(self, slot);
@@ -213,6 +245,37 @@ class OneShotLock {
   }
 
  private:
+  /// announce[i]'s initial value: no spin bit published yet.
+  static constexpr std::uint64_t kNoAnnounce = ~std::uint64_t{0};
+
+  /// DsmWake's words; CcWake stores nothing in their place.
+  struct DsmWords {
+    std::vector<Word*> announce;
+    std::vector<Word*> spin;  ///< spin[p] is local to process p
+  };
+  struct NoWords {};
+
+  OneShotLock(Init, Space& space, std::uint32_t n_slots, std::uint32_t w,
+              Pid nprocs, Find find)
+      : space_(space), n_(n_slots), find_(find), tree_(space, n_slots, w) {
+    tail_ = space_.alloc(1, 0);
+    head_ = space_.alloc(1, 0);
+    last_exited_ = space_.alloc(1, detail::kNoneExited);
+    go_.reserve(n_slots);
+    for (std::uint32_t i = 0; i < n_slots; ++i) {
+      go_.push_back(space_.alloc(1, i == 0 ? 1 : 0));  // go = [1, 0, ..., 0]
+      if constexpr (kDsm) {
+        dsm_.announce.push_back(space_.alloc(1, kNoAnnounce));
+      }
+    }
+    if constexpr (kDsm) {
+      dsm_.spin.reserve(nprocs);
+      for (Pid p = 0; p < nprocs; ++p) {
+        dsm_.spin.push_back(space_.alloc_owned(p, 1, 0));  // local spin bit
+      }
+    }
+  }
+
   /// Algorithm 3.3.
   void abort_slot(Pid self, std::uint32_t i) {
     tree_.remove(self, i);                                       // line 11
@@ -233,11 +296,23 @@ class OneShotLock {
                              : tree_.adaptive_find_next(self, head);
     if (!r.is_found()) return;  // TOP: an aborter took responsibility;
                                 // BOTTOM: no successor exists (lines 17-18)
-    // Release suffices for the grant store: no other protocol word is read
-    // after it, and the crossed-paths race (Remove vs FindNext) is decided
-    // entirely by the seq_cst tree CASes and Head/LastExited accesses that
-    // precede it. The successor's spin acquires it.
-    model::ord::write_rel(space_, self, *go_[r.slot], 1);  // AML_V_EDGE(oneshot.grant), line 19
+    if constexpr (kDsm) {
+      // Dekker pair with enter's announce-write/go-read: seq_cst required on
+      // both the go write and the announce read (see enter).
+      space_.write(self, *go_[r.slot], 1);
+      const std::uint64_t s = space_.read(self, *dsm_.announce[r.slot]);
+      if (s == kNoAnnounce) return;  // the grantee will see go[j] itself
+      // Final wake of the published spin bit: release suffices — the
+      // grantee's spin acquires it, and nothing is read after this store.
+      model::ord::write_rel(space_, self,  // AML_V_EDGE(oneshot.dsm_wake)
+                            *dsm_.spin[static_cast<Pid>(s)], 1);
+    } else {
+      // Release suffices for the grant store: no other protocol word is
+      // read after it, and the crossed-paths race (Remove vs FindNext) is
+      // decided entirely by the seq_cst tree CASes and Head/LastExited
+      // accesses that precede it. The successor's spin acquires it.
+      model::ord::write_rel(space_, self, *go_[r.slot], 1);  // AML_V_EDGE(oneshot.grant), line 19
+    }
   }
 
   Space& space_;
@@ -250,129 +325,11 @@ class OneShotLock {
   std::vector<Word*> go_;
   FaultInjection faults_;  ///< all-off by default (correct algorithm)
   [[no_unique_address]] obs::SinkHandle<Metrics> obs_;
+  [[no_unique_address]] std::conditional_t<kDsm, DsmWords, NoWords> dsm_;
 };
 
-/// DSM variant (Section 3). Requires the space to provide
-/// alloc_owned(owner, n, init): the per-process spin bits are local to their
-/// owner; everything else is placed like the CC variant.
+/// The DSM variant (Section 3): the one body with the DsmWake policy.
 template <typename Space, typename Metrics = obs::NullMetrics>
-class OneShotLockDsm {
- public:
-  using Word = typename Space::Word;
-  using MetricsSink = Metrics;
-
-  static constexpr std::uint64_t kNoAnnounce = ~std::uint64_t{0};
-
-  /// Convenience overload for contexts where processes and slots coincide
-  /// (notably the long-lived transformation).
-  OneShotLockDsm(Space& space, std::uint32_t n_slots, std::uint32_t w,
-                 Find find = Find::kAdaptive)
-      : OneShotLockDsm(space, n_slots, w, n_slots, find) {}
-
-  OneShotLockDsm(Space& space, std::uint32_t n_slots, std::uint32_t w,
-                 Pid nprocs, Find find = Find::kAdaptive)
-      : space_(space), n_(n_slots), find_(find), tree_(space, n_slots, w) {
-    tail_ = space_.alloc(1, 0);
-    head_ = space_.alloc(1, 0);
-    last_exited_ = space_.alloc(1, detail::kNoneExited);
-    go_.reserve(n_slots);
-    announce_.reserve(n_slots);
-    for (std::uint32_t i = 0; i < n_slots; ++i) {
-      go_.push_back(space_.alloc(1, i == 0 ? 1 : 0));
-      announce_.push_back(space_.alloc(1, kNoAnnounce));
-    }
-    spin_.reserve(nprocs);
-    for (Pid p = 0; p < nprocs; ++p) {
-      spin_.push_back(space_.alloc_owned(p, 1, 0));  // local spin bit
-    }
-  }
-
-  OneShotLockDsm(const OneShotLockDsm&) = delete;
-  OneShotLockDsm& operator=(const OneShotLockDsm&) = delete;
-
-  std::uint32_t capacity() const { return n_; }
-
-  /// Bind an observability sink (no-op for the NullMetrics default).
-  void set_metrics(Metrics* sink) { obs_.bind(sink); }
-
-  EnterResult enter(Pid self, const std::atomic<bool>* abort_signal) {
-    const std::uint64_t i = space_.faa(self, *tail_, 1);
-    AML_ASSERT(i < n_, "one-shot lock capacity exceeded (re-entry?)");
-    const std::uint32_t slot = static_cast<std::uint32_t>(i);
-    obs_.on_enter(self, slot);
-    // Publish the local spin bit, then check go[i]; the signaller writes
-    // go[i] before reading announce[i], so one side always sees the other.
-    // This is a Dekker (store-buffering) pattern: both the announce write /
-    // go read here and the go write / announce read in signal_next MUST
-    // stay seq_cst — acquire/release alone permits the r1=0, r2=0 outcome
-    // (both sides miss each other) and the grant is lost.
-    space_.write(self, *announce_[slot], self);
-    const std::uint64_t granted = space_.read(self, *go_[slot]);
-    if (granted == 0) {
-      // Acquire side of the published-spin-bit wake.
-      auto outcome = space_.wait(  // AML_X_EDGE(oneshot.dsm_wake)
-          self, *spin_[self],
-          [this, self](std::uint64_t v) {
-            obs_.on_spin_iteration(self);
-            return v != 0;
-          },
-          abort_signal);
-      if (outcome.stopped) {
-        abort_slot(self, slot);
-        obs_.on_abort(self, slot);
-        return {false, slot};
-      }
-    }
-    space_.write(self, *head_, i);
-    obs_.on_granted(self, slot);
-    return {true, slot};
-  }
-
-  void exit(Pid self) {
-    const std::uint64_t head = space_.read(self, *head_);
-    obs_.on_exit(self, static_cast<std::uint32_t>(head));
-    space_.write(self, *last_exited_, head);
-    signal_next(self, static_cast<std::uint32_t>(head));
-  }
-
- private:
-  void abort_slot(Pid self, std::uint32_t i) {
-    tree_.remove(self, i);
-    const std::uint64_t head = space_.read(self, *head_);
-    const std::uint64_t last = space_.read(self, *last_exited_);
-    if (head != last) return;
-    signal_next(self, static_cast<std::uint32_t>(head));
-  }
-
-  void signal_next(Pid self, std::uint32_t head) {
-    obs_.on_findnext(self);
-    const FindResult r = (find_ == Find::kPlain)
-                             ? tree_.find_next(self, head)
-                             : tree_.adaptive_find_next(self, head);
-    if (!r.is_found()) return;
-    // Dekker pair with enter's announce-write/go-read: seq_cst required on
-    // both the go write and the announce read (see enter).
-    space_.write(self, *go_[r.slot], 1);
-    const std::uint64_t s = space_.read(self, *announce_[r.slot]);
-    if (s != kNoAnnounce) {
-      // Final wake of the published spin bit: release suffices — the
-      // grantee's spin acquires it, and nothing is read after this store.
-      model::ord::write_rel(space_, self,  // AML_V_EDGE(oneshot.dsm_wake)
-                            *spin_[static_cast<Pid>(s)], 1);
-    }
-  }
-
-  Space& space_;
-  std::uint32_t n_;
-  Find find_;
-  Tree<Space> tree_;
-  Word* tail_ = nullptr;
-  Word* head_ = nullptr;
-  Word* last_exited_ = nullptr;
-  std::vector<Word*> go_;
-  std::vector<Word*> announce_;
-  std::vector<Word*> spin_;  ///< spin_[p] is local to process p
-  [[no_unique_address]] obs::SinkHandle<Metrics> obs_;
-};
+using OneShotLockDsm = OneShotLock<Space, Metrics, DsmWake>;
 
 }  // namespace aml::core

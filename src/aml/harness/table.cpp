@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <iostream>
-#include <sstream>
 
 namespace aml::harness {
 
@@ -64,36 +61,7 @@ void Table::print(std::ostream& os) const {
   os << "\n";
 }
 
-void Table::print() const {
-  print(std::cout);
-  const char* dir = std::getenv("AMLOCK_BENCH_CSV");
-  if (dir == nullptr || *dir == '\0') return;
-  std::string slug;
-  for (char c : title_) {
-    if (std::isalnum(static_cast<unsigned char>(c))) {
-      slug.push_back(static_cast<char>(
-          std::tolower(static_cast<unsigned char>(c))));
-    } else if (!slug.empty() && slug.back() != '_') {
-      slug.push_back('_');
-    }
-    if (slug.size() >= 80) break;
-  }
-  std::ofstream out(std::string(dir) + "/" + slug + ".csv");
-  if (out) out << to_csv();
-}
-
-std::string Table::to_csv() const {
-  std::ostringstream os;
-  auto emit = [&](const std::vector<std::string>& cells) {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      os << cells[i] << (i + 1 < cells.size() ? "," : "");
-    }
-    os << "\n";
-  };
-  emit(headers_);
-  for (const auto& r : rows_) emit(r);
-  return os.str();
-}
+void Table::print() const { print(std::cout); }
 
 std::string Table::num(std::uint64_t v) { return std::to_string(v); }
 

@@ -1,5 +1,6 @@
 // Plain-text table rendering for the benchmark harnesses: aligned columns on
-// stdout (the paper-style tables EXPERIMENTS.md quotes) plus optional CSV.
+// stdout (the paper-style tables EXPERIMENTS.md quotes). The machine-readable
+// copy of every table is the bench's JSON report (report.hpp).
 #pragma once
 
 #include <cstdint>
@@ -17,13 +18,8 @@ class Table {
   Table& row(std::vector<std::string> cells);
 
   /// Render with aligned columns (numbers right-aligned heuristically).
-  /// If the environment variable AMLOCK_BENCH_CSV names a directory, the
-  /// parameterless overload additionally writes <dir>/<slug(title)>.csv for
-  /// machine-readable archiving of bench results.
   void print(std::ostream& os) const;
-  void print() const;  ///< to stdout (+ optional CSV side file)
-
-  std::string to_csv() const;
+  void print() const;  ///< to stdout
 
   const std::string& title() const { return title_; }
   std::size_t rows() const { return rows_.size(); }

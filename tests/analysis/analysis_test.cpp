@@ -1,5 +1,6 @@
 // aml::analysis end-to-end: trace round-trips and replay, DPOR-vs-unreduced
-// equivalence on a seeded hand-off bug, and one fire-test per invariant
+// equivalence on a seeded hand-off bug (and the DSM variant's clean pass and
+// bug find on the same workload), and one fire-test per invariant
 // oracle (each manufactures an illegal state through a debug poke and
 // observes the oracle catch it with a replayable trace).
 //
@@ -158,6 +159,33 @@ TEST(DporEquivalence, FailureTraceReplaysDeterministically) {
   EXPECT_EQ(replayed.executions, 1u);
   ASSERT_TRUE(replayed.failed);
   EXPECT_EQ(replayed.failure, stats.failure);
+  std::remove(stats.trace_path.c_str());
+}
+
+// --- the DSM variant under the same workload and oracles -------------------
+
+TEST(DporDsmTwin, CleanWorkloadPassesUnderDpor) {
+  const auto* clean = find_workload("oneshot-dsm-handoff-clean");
+  ASSERT_NE(clean, nullptr);
+  auto config = bug_config(sched::Reduction::kDpor);
+  config.workload = clean->name;
+  const auto stats = sched::explore(config, clean->factory);
+  EXPECT_FALSE(stats.failed) << stats.failure;
+  EXPECT_FALSE(stats.truncated);
+  EXPECT_GT(stats.executions, 10u);  // a real state space was covered
+  EXPECT_GT(stats.races_seen, 0u);
+}
+
+TEST(DporDsmTwin, SeededBugLosesWakeUp) {
+  const auto* bug = find_workload("oneshot-dsm-handoff-bug");
+  ASSERT_NE(bug, nullptr);
+  auto config = bug_config(sched::Reduction::kDpor);
+  config.workload = bug->name;
+  const auto stats = sched::explore(config, bug->factory);
+  ASSERT_TRUE(stats.failed) << "DPOR missed the seeded DSM bug";
+  EXPECT_NE(stats.failure.find("lost wake-up"), std::string::npos)
+      << stats.failure;
+  ASSERT_FALSE(stats.trace_path.empty());
   std::remove(stats.trace_path.c_str());
 }
 

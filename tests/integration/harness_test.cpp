@@ -2,8 +2,6 @@
 // end-to-end experiment plumbing consistency.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
 #include <sstream>
 
 #include "aml/harness/rmr_experiment.hpp"
@@ -25,28 +23,6 @@ TEST(TableTest, RendersAlignedColumns) {
   EXPECT_NE(out.find("== demo =="), std::string::npos);
   EXPECT_NE(out.find("alpha"), std::string::npos);
   EXPECT_NE(out.find("23456"), std::string::npos);
-}
-
-TEST(TableTest, CsvRoundTrip) {
-  Table t("csv");
-  t.headers({"a", "b"});
-  t.row({"1", "2"});
-  EXPECT_EQ(t.to_csv(), "a,b\n1,2\n");
-}
-
-TEST(TableTest, CsvSideFileViaEnv) {
-  const std::string dir = ::testing::TempDir();
-  ::setenv("AMLOCK_BENCH_CSV", dir.c_str(), 1);
-  Table t("CSV side file: demo!");
-  t.headers({"x", "y"});
-  t.row({"1", "2"});
-  t.print();  // writes <dir>/csv_side_file_demo_.csv
-  ::unsetenv("AMLOCK_BENCH_CSV");
-  std::ifstream in(dir + "/csv_side_file_demo_.csv");
-  ASSERT_TRUE(in.good());
-  std::stringstream content;
-  content << in.rdbuf();
-  EXPECT_EQ(content.str(), "x,y\n1,2\n");
 }
 
 TEST(TableTest, NumFormatting) {

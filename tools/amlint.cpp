@@ -79,9 +79,8 @@
 //
 // Blank lines and lines starting with '#' are ignored. Every entry must
 // justify itself; unused entries are reported as warnings so the list cannot
-// rot — or as errors under --strict-unused (CI runs strict). --sarif <path>
-// additionally writes the reported findings as SARIF 2.1.0 for code-scanning
-// upload. Exit status: 0 clean, 1 findings, 2 usage/IO error.
+// rot — or as errors under --strict-unused (CI runs strict). Exit status:
+// 0 clean, 1 findings, 2 usage/IO error.
 //
 // The scanner is token-based, not a real C++ parser: comments, string and
 // character literals are blanked before matching, and calls may span lines.
@@ -90,9 +89,7 @@
 
 #include <cctype>
 #include <cstddef>
-#include <cstdio>
 #include <filesystem>
-#include <iterator>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -923,76 +920,6 @@ void check_r9(std::vector<EdgeDecl>& decls,
   }
 }
 
-// ---- SARIF output ----------------------------------------------------------
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-bool write_sarif(const std::string& path,
-                 const std::vector<Finding>& reported) {
-  std::ofstream out(path);
-  if (!out) return false;
-  static const std::pair<const char*, const char*> kRules[] = {
-      {"R1", "every atomic op names an explicit std::memory_order"},
-      {"R2", "no blocking primitives in the hot paths"},
-      {"R3", "no unpadded arrays of atomics in the hot paths"},
-      {"R4", "no plain std::atomic state in model-gated code"},
-      {"R5", "no raw pointers/references/virtuals in shm-placed data"},
-      {"R6", "instrumentation enter/terminal pairing per sink"},
-      {"R7", "recoverable-F&A journaling discipline"},
-      {"R8", "sub-seq_cst atomics carry AML_V_EDGE/AML_X_EDGE/AML_RELAXED"},
-      {"R9", "edge annotations pair up and match the edge manifest"},
-      {"ALLOW", "allowlist hygiene (unused entries under --strict-unused)"},
-  };
-  out << "{\n"
-      << "  \"$schema\": "
-         "\"https://json.schemastore.org/sarif-2.1.0.json\",\n"
-      << "  \"version\": \"2.1.0\",\n"
-      << "  \"runs\": [\n    {\n      \"tool\": {\n        \"driver\": {\n"
-      << "          \"name\": \"amlint\",\n"
-      << "          \"version\": \"1.0.0\",\n"
-      << "          \"rules\": [\n";
-  for (std::size_t i = 0; i < std::size(kRules); ++i) {
-    out << "            {\"id\": \"" << kRules[i].first
-        << "\", \"shortDescription\": {\"text\": \"" << kRules[i].second
-        << "\"}}" << (i + 1 < std::size(kRules) ? "," : "") << "\n";
-  }
-  out << "          ]\n        }\n      },\n      \"results\": [\n";
-  for (std::size_t i = 0; i < reported.size(); ++i) {
-    const Finding& f = reported[i];
-    out << "        {\"ruleId\": \"" << json_escape(f.rule)
-        << "\", \"level\": \"error\", \"message\": {\"text\": \""
-        << json_escape(f.message) << "\"}, \"locations\": [{"
-        << "\"physicalLocation\": {\"artifactLocation\": {\"uri\": \""
-        << json_escape(f.file) << "\"}, \"region\": {\"startLine\": "
-        << (f.line == 0 ? 1 : f.line) << "}}}]}"
-        << (i + 1 < reported.size() ? "," : "") << "\n";
-  }
-  out << "      ]\n    }\n  ]\n}\n";
-  return static_cast<bool>(out);
-}
-
 bool in_hot_path(const std::string& rel) {
   return rel.find("core/") != std::string::npos ||
          rel.find("table/") != std::string::npos;
@@ -1060,11 +987,10 @@ bool allowed(const Finding& f, std::vector<AllowEntry>* allow) {
 int main(int argc, char** argv) {
   static const char* kUsage =
       "usage: amlint <source-root> [--allow <allowlist>] "
-      "[--edges <manifest.toml>] [--sarif <out.sarif>] [--strict-unused]\n";
+      "[--edges <manifest.toml>] [--strict-unused]\n";
   std::string root;
   std::string allow_path;
   std::string edges_path;
-  std::string sarif_path;
   bool strict_unused = false;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -1072,8 +998,6 @@ int main(int argc, char** argv) {
       allow_path = argv[++i];
     } else if (arg == "--edges" && i + 1 < argc) {
       edges_path = argv[++i];
-    } else if (arg == "--sarif" && i + 1 < argc) {
-      sarif_path = argv[++i];
     } else if (arg == "--strict-unused") {
       strict_unused = true;
     } else if (arg == "--help" || arg == "-h") {
@@ -1157,10 +1081,10 @@ int main(int argc, char** argv) {
     check_r9(decls, sites, edges_path, &findings);
   }
 
-  std::vector<Finding> reported;
+  std::size_t reported = 0;
   for (const Finding& f : findings) {
     if (allowed(f, &allow)) continue;
-    reported.push_back(f);
+    ++reported;
     std::cout << f.file << ":" << f.line << ": [" << f.rule << "] "
               << f.message << "\n    " << f.excerpt << "\n";
   }
@@ -1169,9 +1093,7 @@ int main(int argc, char** argv) {
     const std::string entry =
         e.rule + "|" + e.path_part + "|" + e.line_part;
     if (strict_unused) {
-      reported.push_back({allow_path, 0, "ALLOW",
-                          "unused allowlist entry (strict mode): " + entry,
-                          entry});
+      ++reported;
       std::cout << allow_path << ":0: [ALLOW] unused allowlist entry "
                 << "(strict mode): " << entry << "\n";
     } else {
@@ -1179,11 +1101,7 @@ int main(int argc, char** argv) {
                 << "\n";
     }
   }
-  if (!sarif_path.empty() && !write_sarif(sarif_path, reported)) {
-    std::cerr << "amlint: cannot write SARIF to " << sarif_path << "\n";
-    return 2;
-  }
-  std::cout << "amlint: " << files << " files, " << reported.size()
+  std::cout << "amlint: " << files << " files, " << reported
             << " finding(s)";
   if (!allow.empty()) {
     std::size_t used = 0;
@@ -1191,5 +1109,5 @@ int main(int argc, char** argv) {
     std::cout << ", " << used << " allowlisted";
   }
   std::cout << "\n";
-  return reported.empty() ? 0 : 1;
+  return reported == 0 ? 0 : 1;
 }
