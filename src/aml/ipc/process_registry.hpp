@@ -223,10 +223,10 @@ class ProcessRegistry {
   /// holder that has not yet published (os_pid 0) is alive by definition —
   /// it is mid-try_lease.
   ///
-  /// Advisory: the answer can be stale by the time the caller acts on it
-  /// (the slot may be released, recovered, or re-leased in between), so a
-  /// dead() == true is only a hint to attempt try_claim_recovery(), which
-  /// re-establishes death and claims under one observed lease word.
+  /// A query only (the sweep calls try_claim_recovery alone): the answer
+  /// can be stale by the time the caller acts on it (the slot may be
+  /// released, recovered, or re-leased in between); only the claim, which
+  /// establishes death under one observed lease word, may act on a death.
   bool dead(model::Pid id) const {
     return dead_under(id, slots_[id].lease.load(std::memory_order_acquire));  // AML_X_EDGE(ipc.lease_word)
   }

@@ -17,9 +17,9 @@
 // One window remains journal-blind: inside the one-shot doorway before the
 // sink records the tail F&A's slot (kDoorway, attempt unrecorded). A death
 // there retires the pid for good (kZombie is terminal; see
-// process_registry.hpp). Only one recoverer touches a stripe at a
-// time (per-stripe seqlock with dead-holder takeover), and only after
-// winning the victim's registry claim.
+// process_registry.hpp). Only the victim's registry claimant repairs, and
+// only stripes the victim left a footprint on, one recoverer at a time
+// (per-stripe seqlock with dead-holder takeover).
 #pragma once
 
 #include <atomic>
@@ -95,12 +95,21 @@ class ShmStripeLockT : private ShmLongLivedLock {
 
   /// Repair `victim`'s passage on this stripe, executing as `exec` (the
   /// recoverer's leased pid does every memory operation; the victim pid only
-  /// names the journal). Caller must hold the victim's registry claim; this
-  /// takes the per-stripe seqlock. kZombie means the victim died in the
-  /// journal-blind doorway window and its pid must be retired.
+  /// names the journal). Caller must hold the victim's registry claim, so
+  /// only it writes the victim's journal. kIdle and kSpinWait left no shared
+  /// footprint (LockDesc untouched, no queue slot): no seqlock, no event.
+  /// kZombie means the victim died in the journal-blind doorway window and
+  /// its pid must be retired.
   RecoveryAction recover(Pid exec, Pid victim, std::uint64_t exec_os_pid) {
+    const Phase phase = peek_phase(victim);
+    if (phase == kIdle) return RecoveryAction::kNone;
+    if (phase == kSpinWait) {
+      // The pid can be re-leased as-is (its held/old_spn locals stay valid).
+      finish_slot(victim);
+      return RecoveryAction::kNone;
+    }
     lock_recovery(exec, exec_os_pid);
-    const RecoveryAction action = recover_locked(exec, victim);
+    const RecoveryAction action = recover_locked(exec, victim, phase);
     unlock_recovery(exec);
     return action;
   }
@@ -111,9 +120,23 @@ class ShmStripeLockT : private ShmLongLivedLock {
     return static_cast<Phase>(
         journal_.slot(p).phase.load(std::memory_order_seq_cst));
   }
-  /// Completed recovery passes on this stripe (seqlock sequence number).
+  /// Repairs run on this stripe (seqlock sequence number): one per victim
+  /// with a passage in flight here, none for a victim idle or spinning.
   std::uint64_t recovery_epoch(Pid self) {
     return mem_.read(self, *recovery_) >> 32;
+  }
+
+  /// Refcnt units no journaled passage could hold. kPreJoin counts as a
+  /// holder (a live joiner's F&A can land before its kJoined store), so a
+  /// transient race never inflates the number.
+  std::uint64_t stranded_units(Pid probe) {
+    const std::uint64_t refcnt = peek_refcnt(probe);
+    std::uint64_t holders = 0;
+    for (Pid p = 0; p < config().nprocs; ++p) {
+      const Phase ph = peek_phase(p);
+      if (ph >= kPreJoin && ph <= kCleanup) holders++;
+    }
+    return refcnt > holders ? refcnt - holders : 0;
   }
 
   /// Test hook: forge a pid's journaled phase so recovery arms can be
@@ -200,9 +223,9 @@ class ShmStripeLockT : private ShmLongLivedLock {
     return journal_.release(mem_, p, p, *lock_desc_);
   }
 
-  RecoveryAction recover_locked(Pid exec, Pid victim) {
+  /// The arms that repair stripe state, one per phase from kPreJoin on.
+  RecoveryAction recover_locked(Pid exec, Pid victim, Phase phase) {
     PassageSlot& v = journal_.slot(victim);
-    const std::uint64_t phase = v.phase.load(std::memory_order_seq_cst);
     const std::uint64_t att = v.attempt.load(std::memory_order_seq_cst);
     const std::uint32_t cur_inst = static_cast<std::uint32_t>(
         v.current.load(std::memory_order_seq_cst));
@@ -210,12 +233,6 @@ class ShmStripeLockT : private ShmLongLivedLock {
     const std::uint32_t inst_idx = attempt_instance(att);
     using K = obs::EventKind;
     switch (phase) {
-      case kIdle:
-      case kSpinWait:
-        // No shared footprint: LockDesc untouched, no queue slot. The pid
-        // can be re-leased as-is (its held/old_spn locals stay valid).
-        finish_slot(victim);
-        return RecoveryAction::kNone;
       case kPreJoin: {
         // The join F&A is journaled (v3): decide post-mortem whether the
         // announced increment landed, then complete the passage (one

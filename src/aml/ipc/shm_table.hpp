@@ -17,10 +17,11 @@
 // detection is ESRCH + start-time — see process_registry.hpp). When a process
 // dies holding locks, a survivor's Session::recover_dead() finds the stale
 // slots, claims them, and drives each victim passage through the abort/exit
-// path on every stripe (see shm_lock.hpp), then frees — or, for a death inside
-// the one journal-blind doorway window, retires for good — the pid. A process
-// that *restarts* with its previous incarnation's identity can instead repair
-// its own passage directly via reattach_session().
+// path on every stripe where its journal shows one (see shm_lock.hpp), then
+// frees — or, for a death inside the one journal-blind doorway window,
+// retires for good — the pid. A process that *restarts* with its previous
+// incarnation's identity can instead repair its own passage directly via
+// reattach_session().
 //
 // v1 scope (documented limitations, not accidents):
 //   * single-key operations only — the multi-process multi-key transaction
@@ -344,12 +345,9 @@ class ShmNamedLockTable : public table::Frontend<ShmNamedLockTable> {
     std::uint32_t repaired = 0;  // zombies included: work was still done
     const std::uint64_t self_os = static_cast<std::uint64_t>(::getpid());
     for (Pid victim = 0; victim < config_.nprocs; ++victim) {
-      // dead() is an advisory prefilter (it skips the claim CAS for the
-      // common all-alive sweep); try_claim_recovery() re-establishes death
-      // and claims under a single observed lease word, so a victim that is
-      // recovered and re-leased between the two calls is never claimed.
-      if (victim == exec || !registry_.dead(victim)) continue;
-      if (!registry_.try_claim_recovery(victim)) continue;
+      // One liveness probe per pid: the claim establishes death under one
+      // observed lease word (a live or free slot costs no CAS).
+      if (victim == exec || !registry_.try_claim_recovery(victim)) continue;
       const bool zombie = recover_stripes(exec, victim, self_os);
       registry_.finish_recovery(victim, zombie);
       repaired++;
@@ -360,38 +358,26 @@ class ShmNamedLockTable : public table::Frontend<ShmNamedLockTable> {
         recovered++;
       }
     }
-    // Stranded-refcnt audit (a v1 zombie's possible legacy): any excess of
-    // a stripe's LockDesc refcnt over the journaled passages that could
-    // hold a unit wedges the instance switch silently — acquires spin
-    // forever with the refcnt never reaching zero — so report it as a
-    // diagnosis. kPreJoin counts as a potential holder (a live joiner's
-    // F&A can land before its kJoined store), so a transient race never
-    // inflates the number; a truly stranded unit has no journal anywhere.
+    // Stranded-refcnt audit: a refcnt unit no journaled passage holds
+    // wedges the instance switch silently — acquires spin forever with the
+    // refcnt never reaching zero — so report it as a diagnosis.
     std::uint64_t stranded = 0;
-    for (auto& stripe : stripes_) {
-      const std::uint64_t refcnt = stripe->peek_refcnt(exec);
-      std::uint64_t holders = 0;
-      for (Pid p = 0; p < config_.nprocs; ++p) {
-        const Phase ph = stripe->peek_phase(p);
-        if (ph >= kPreJoin && ph <= kCleanup) holders++;
-      }
-      if (refcnt > holders) stranded += refcnt - holders;
-    }
+    for (auto& stripe : stripes_) stranded += stripe->stranded_units(exec);
     stats_.stranded_refcnts = stranded;
     // Sweep latency lands in the segment, so operators (and the bench's
     // recovery percentiles) can read it from any process — only sweeps that
-    // actually repaired something are recorded; the all-alive prefilter
-    // pass is a different (much cheaper) population.
+    // actually repaired something are recorded; an all-alive sweep is a
+    // different (much cheaper) population.
     if (repaired != 0) {
       shm_metrics_.record_sweep_ns(obs::ShmMetrics::now_ns() - sweep_begin);
     }
     return recovered;
   }
 
-  /// Run every stripe's recovery arm for `victim` as `exec` and tally the
-  /// outcomes in stats_. True iff some stripe found the victim in its
-  /// doorway-blind window (a zombie); the remaining stripes are still
-  /// repaired either way.
+  /// Run every stripe's recovery arm for `victim` as `exec` (a no-op where
+  /// it left no footprint) and tally the outcomes in stats_. True iff some
+  /// stripe found it in its doorway-blind window (a zombie); the remaining
+  /// stripes are still repaired either way.
   bool recover_stripes(Pid exec, Pid victim, std::uint64_t self_os) {
     bool zombie = false;
     for (auto& stripe : stripes_) {

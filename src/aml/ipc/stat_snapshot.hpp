@@ -145,18 +145,10 @@ inline void write_stat_json(std::ostream& os, ShmNamedLockTable& table,
   for (std::uint32_t s = 0; s < table.stripe_count(); ++s) {
     if (s != 0) os << ",";
     auto& stripe = table.stripe(s);
-    // Same stranded-unit bound recover_dead() reports: refcnt units beyond
-    // the journaled passages that could legitimately hold one.
-    const std::uint64_t refcnt = stripe.peek_refcnt(probe);
-    std::uint64_t holders = 0;
-    for (Pid p = 0; p < cfg.nprocs; ++p) {
-      const Phase ph = stripe.peek_phase(p);
-      if (ph >= kPreJoin && ph <= kCleanup) holders++;
-    }
-    os << "{\"stripe\":" << s
+    os <<"{\"stripe\":" << s
        << ",\"installed\":" << stripe.peek_installed(probe)
-       << ",\"refcnt\":" << refcnt
-       << ",\"stranded_refcnt\":" << (refcnt > holders ? refcnt - holders : 0)
+       << ",\"refcnt\":" << stripe.peek_refcnt(probe)
+       << ",\"stranded_refcnt\":" << stripe.stranded_units(probe)
        << ",\"recovery_epoch\":" << stripe.recovery_epoch(probe)
        << ",\"recovery\":";
     stat_detail::write_recovery(os, shm.recovery_stripe(s));

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <random>
 #include <string>
 #include <thread>
@@ -172,7 +173,7 @@ TEST(ShmIpcTable, RecoverDeadHolderForcesExitAndReclaimsSlot) {
   EXPECT_EQ(stats.zombie_pids, 0u);
 
   // The victim's journal is reset, its pid is re-leasable, and the stripe's
-  // recovery seqlock advanced exactly once per stripe sweep.
+  // recovery seqlock advanced once per repair on this stripe.
   EXPECT_EQ(table->stripe(s).peek_phase(victim->id()), kIdle);
   EXPECT_EQ(table->registry().state(victim->id()), ProcessRegistry::kFree);
   EXPECT_EQ(table->stripe(s).recovery_epoch(survivor->id()), 1u);
@@ -248,6 +249,45 @@ TEST(ShmIpcTable, RecoverIdleVictimReclaimsWithoutRepairs) {
   EXPECT_EQ(stats.forced_exits, 0u);
   EXPECT_EQ(stats.forced_aborts, 0u);
   EXPECT_EQ(table->registry().state(victim->id()), ProcessRegistry::kFree);
+}
+
+/// The sweep touches only what the victim left: the stripe it held is
+/// repaired under the seqlock with one event, a stripe where it was only
+/// spinning (kSpinWait) gets its journal slot reset and nothing else, and a
+/// stripe where it was idle is not written at all.
+TEST(ShmIpcTable, SweepTouchesOnlyTheVictimsFootprint) {
+  std::string error;
+  ShmTableConfig cfg = small_config();
+  cfg.stripes = 4;
+  auto table =
+      create_unlinked<ShmNamedLockTable>("tbl-footprint", cfg, &error);
+  ASSERT_NE(table, nullptr) << error;
+
+  auto victim = table->open_session();
+  auto survivor = table->open_session();
+  ASSERT_TRUE(victim && survivor);
+  const std::uint32_t s = 1;  // held
+  const std::uint32_t t = 2;  // spinning
+  ASSERT_TRUE(table->stripe(s).enter(victim->id(), nullptr).acquired);
+  table->stripe(t).debug_set_phase(victim->id(), kSpinWait);
+
+  table->registry().debug_set_os_pid(victim->id(), kForgedDeadPid);
+  EXPECT_EQ(survivor->recover_dead(), 1u);
+
+  const obs::ShmMetrics& shm = table->shm_metrics();
+  for (std::uint32_t i = 0; i < table->stripe_count(); ++i) {
+    EXPECT_EQ(table->stripe(i).recovery_epoch(survivor->id()),
+              i == s ? 1u : 0u)
+        << "stripe " << i;
+    EXPECT_EQ(table->stripe(i).peek_phase(victim->id()), kIdle)
+        << "stripe " << i;
+    EXPECT_EQ(shm.recovery_stripe(i).total() != 0, i == s) << "stripe " << i;
+  }
+  std::uint64_t recovery_events = 0;
+  for (const auto& e : shm.ring_snapshot()) {
+    if (obs::event_is_recovery(e.kind)) ++recovery_events;
+  }
+  EXPECT_EQ(recovery_events, 1u);
 }
 
 // --- recoverable F&A: forged deaths inside the journaled windows ----------
@@ -529,6 +569,68 @@ TEST(ShmIpcTableStress, TimedAttemptsLeaveNoArmedDeadline) {
   }
   for (std::uint32_t s = 0; s < table->stripe_count(); ++s) {
     EXPECT_TRUE(acquired[s]) << "stripe " << s;
+  }
+}
+
+/// Two survivors, each on its own handle to the segment as separate
+/// processes would be, sweep at once while two victims lie dead on one
+/// stripe: one holding it, one joined (refcnt up, no queue slot). The
+/// registry claim must elect exactly one recoverer per victim and the
+/// stripe seqlock must serialize the two repairs, every round.
+TEST(ShmIpcTableStress, ConcurrentSweepsRepairEachVictimOnce) {
+  ScopedSegment seg("tbl-sweepstress");
+  std::string error;
+  auto table = ShmNamedLockTable::create(seg.name, small_config(), &error);
+  ASSERT_NE(table, nullptr) << error;
+  auto replica = ShmNamedLockTable::attach(seg.name, small_config(), &error);
+  seg.unlink();
+  ASSERT_NE(replica, nullptr) << error;
+
+  auto first = table->open_session();
+  auto second = replica->open_session();
+  ASSERT_TRUE(first && second);
+  const std::uint32_t s = 0;
+  std::uint64_t key = 0;
+  while (table->stripe_of(key) != s) ++key;
+
+  auto total = [&](std::uint64_t RecoveryStats::*field) {
+    return table->recovery_stats().*field + replica->recovery_stats().*field;
+  };
+  constexpr int kRounds = 200;
+  for (int round = 0; round < kRounds; ++round) {
+    auto holder = table->open_session();
+    auto joined = table->open_session();
+    ASSERT_TRUE(holder && joined) << "round " << round;
+    ASSERT_TRUE(table->stripe(s).enter(holder->id(), nullptr).acquired);
+    table->stripe(s).debug_forge_joined(joined->id());
+    table->registry().debug_set_os_pid(holder->id(), kForgedDeadPid);
+    table->registry().debug_set_os_pid(joined->id(), kForgedDeadPid);
+
+    const std::uint64_t exits = total(&RecoveryStats::forced_exits);
+    const std::uint64_t aborts = total(&RecoveryStats::forced_aborts);
+    std::atomic<int> ready{0};
+    std::uint32_t repaired[2] = {0, 0};
+    auto sweep = [&ready, &repaired](ShmNamedLockTable::Session& survivor,
+                                     int slot) {
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+      repaired[slot] = survivor.recover_dead();
+    };
+    std::thread a(sweep, std::ref(*first), 0);
+    std::thread b(sweep, std::ref(*second), 1);
+    a.join();
+    b.join();
+
+    ASSERT_EQ(repaired[0] + repaired[1], 2u) << "round " << round;
+    ASSERT_EQ(total(&RecoveryStats::forced_exits), exits + 1)
+        << "round " << round;
+    ASSERT_EQ(total(&RecoveryStats::forced_aborts), aborts + 1)
+        << "round " << round;
+    ASSERT_EQ(table->stripe(s).peek_refcnt(first->id()), 0u)
+        << "round " << round;
+    ASSERT_TRUE(first->try_acquire_for(key, 2s).has_value())
+        << "round " << round;
+    ASSERT_EQ(total(&RecoveryStats::zombie_pids), 0u) << "round " << round;
   }
 }
 

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -59,8 +60,11 @@ INSTANTIATE_TEST_SUITE_P(
                       Grid{512, 8}, Grid{100, 10}, Grid{256, 16},
                       Grid{300, 17}, Grid{128, 64}, Grid{4096, 64}),
     [](const auto& info) {
-      return "N" + std::to_string(info.param.n) + "_W" +
-             std::to_string(info.param.w);
+      std::string name = "N";
+      name += std::to_string(info.param.n);
+      name += "_W";
+      name += std::to_string(info.param.w);
+      return name;
     });
 
 // Figure 4's payoff: with NO aborts, AdaptiveFindNext from the rightmost

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "aml/model/counting_cc.hpp"
@@ -126,8 +127,11 @@ INSTANTIATE_TEST_SUITE_P(
                       Shape{257, 16}, Shape{63, 64}, Shape{64, 64},
                       Shape{65, 64}, Shape{300, 64}),
     [](const auto& info) {
-      return "N" + std::to_string(info.param.n) + "_W" +
-             std::to_string(info.param.w);
+      std::string name = "N";
+      name += std::to_string(info.param.n);
+      name += "_W";
+      name += std::to_string(info.param.w);
+      return name;
     });
 
 TEST(TreeRemove, AscentDepthMatchesSubtreeCompletion) {
